@@ -237,6 +237,16 @@ class ChannelReport:
         return self.hermiticity_preserving and self.trace_preserving and self.completely_positive
 
 
+def hermiticity_violation(T: ChannelMatrix) -> float:
+    """Distance from Hermiticity preservation, in the native basis: the
+    largest imaginary entry (Pauli) or the sup norm of F T F - conj(T)
+    (matrix units).  The two tests are equivalent."""
+    if T.basis.tag is BasisTag.PAULI_NORMALIZED:
+        return sup_norm(T.entries.imag)
+    F = flip_operator(T.d)
+    return sup_norm(F @ T.entries @ F - T.entries.conj())
+
+
 def verify_channel(T: ChannelMatrix, tol: float | None = None) -> ChannelReport:
     """Check the three channel properties and report numeric witnesses.
 
@@ -244,14 +254,7 @@ def verify_channel(T: ChannelMatrix, tol: float | None = None) -> ChannelReport:
     matrix (floored at 1e-9 absolute).
     """
     eps = tol if tol is not None else default_tolerances().check * max(1.0, sup_norm(T.entries))
-
-    # Hermiticity preservation in the native basis: real entries (Pauli) or
-    # the flip-conjugation identity (matrix units).  The two are equivalent.
-    if T.basis.tag is BasisTag.PAULI_NORMALIZED:
-        hp_viol = sup_norm(T.entries.imag)
-    else:
-        F = flip_operator(T.d)
-        hp_viol = sup_norm(F @ T.entries @ F - T.entries.conj())
+    hp_viol = hermiticity_violation(T)
 
     Tmu = as_matrix_units(T)
     omega = omega_vector(T.d)

@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -241,27 +240,20 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def sample_fractions(d: int, n: int, seed: int, threads: int = 1) -> dict:
+def sample_fractions(d: int, n: int, seed: int) -> dict:
     """Monte Carlo fractions of Markovian and TD-Markovian channels.
 
     Each sample gets its own child seed from one seed sequence, so the result
-    depends only on (d, n, seed), not on the thread count.
+    depends only on (d, n, seed).
     """
     if n < 1:
         raise RangeError(f"need at least one sample, got n = {n}")
-    child_seeds = np.random.SeedSequence(seed).generate_state(n, dtype=np.uint64)
-
-    def one(s: int) -> tuple[bool, bool | None]:
+    results = []
+    for s in np.random.SeedSequence(seed).generate_state(n, dtype=np.uint64):
         T = random_channel(d, int(s))
         mk = markovian_check(T).verdict is Verdict.MARKOVIAN
         td = td_markovian_check(T).td_markovian if d == 2 else None
-        return mk, td
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, child_seeds))
-    else:
-        results = [one(s) for s in child_seeds]
+        results.append((mk, td))
 
     n_mk = sum(1 for mk, _ in results if mk)
     if d == 2:
@@ -282,7 +274,7 @@ def sample_fractions(d: int, n: int, seed: int, threads: int = 1) -> dict:
 
 
 def cmd_sample(args) -> int:
-    summary = sample_fractions(args.d, args.n, args.seed, threads=args.threads)
+    summary = sample_fractions(args.d, args.n, args.seed)
     print(json.dumps(summary, indent=2))
     return 0
 
@@ -356,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("power", help="fractional power of a channel on a chosen branch")

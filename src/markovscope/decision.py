@@ -41,6 +41,8 @@ from .spectral import (
 )
 
 MAX_BRANCH_CANDIDATES = 250_000
+# Branch candidates stacked into one eigvalsh call; bounds the search memory.
+SEARCH_BLOCK = 256
 
 
 class Verdict(Enum):
@@ -118,10 +120,6 @@ def build_a_matrices(S: SpectralData) -> AMatrices:
     return AMatrices(S.dimension, A0, Ac)
 
 
-def _lambda_min(A: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(A).min())
-
-
 def branch_candidates(C: int, m_max: int):
     """All integer vectors with |m|_inf <= m_max, by increasing shell and
     lexicographically inside each shell.  The zero vector comes first."""
@@ -134,38 +132,35 @@ def branch_candidates(C: int, m_max: int):
                 yield m
 
 
-@dataclass(frozen=True)
-class BranchSearchResult:
-    m_star: float
-    value: float
+def branch_search(
+    A: AMatrices, m_max: int, tol: float
+) -> tuple[tuple[int, ...], float, tuple[int, ...] | None]:
+    """Evaluate f(m) = lambda_min(A(m)) on every branch of the box |m|_inf <= m_max.
 
-
-def qubit_branch_search(A: AMatrices, m_max: int = 2) -> BranchSearchResult:
-    """Maximize f(m) = lambda_min(A0 + m A1) over real m by golden-section
-    search on [-m_max - 1, m_max + 1]; f is concave, so this is global."""
-    A0, A1 = A.A0, A.Ac[0]
-    if sup_norm(A1) == 0.0:
-        return BranchSearchResult(0.0, _lambda_min(A0))
-
-    def f(m: float) -> float:
-        return _lambda_min(A0 + m * A1)
-
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = -float(m_max) - 1.0, float(m_max) + 1.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > 1e-6:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    m_star = (a + b) / 2.0
-    return BranchSearchResult(float(m_star), f(m_star))
+    Returns the best branch (the first maximum in shell order), its value,
+    and the first branch in shell order with f(m) >= -tol, or None when no
+    branch is feasible.  Candidates are streamed in blocks of SEARCH_BLOCK,
+    each stacked into a single eigvalsh call; every stacked matrix is summed
+    in the order of AMatrices.at, so its value is exactly that of A.at(m).
+    """
+    best_m, best_v, witness = None, -np.inf, None
+    candidates = branch_candidates(A.num_pairs, m_max)
+    while block := list(itertools.islice(candidates, SEARCH_BLOCK)):
+        ms = np.array(block, dtype=int).reshape(len(block), A.num_pairs)
+        stack = np.repeat(A.A0[None], len(block), axis=0)
+        for c, Ac in enumerate(A.Ac):
+            mc = ms[:, c, None, None]
+            # like AMatrices.at, skip m_c = 0: adding 0 * A_c can flip the sign of a zero
+            np.add(stack, mc * Ac, out=stack, where=mc != 0)
+        vals = np.linalg.eigvalsh(stack).min(axis=1)
+        k = int(np.argmax(vals))
+        if vals[k] > best_v:
+            best_m, best_v = block[k], float(vals[k])
+        if witness is None:
+            feasible = np.flatnonzero(vals >= -tol)
+            if feasible.size:
+                witness = block[feasible[0]]
+    return best_m, best_v, witness
 
 
 def _early_report(verdict: Verdict, d: int, m_max: int, diagnostics: str) -> MarkovReport:
@@ -190,11 +185,11 @@ def markovian_check(
 ) -> MarkovReport:
     """Search the logarithm branches of a channel for a valid generator.
 
-    For qubit spectra with one complex pair the concave real relaxation is
-    solved first and the two neighboring integers (clamped into the search
-    box) are checked; otherwise the box is enumerated shell by shell.  The
-    witness branch reported on success is the first feasible one in
-    enumeration order, so results are deterministic.
+    Every dimension takes the same path: the box |m|_inf <= m_max is
+    enumerated once, shell by shell (branch_search).  The best branch is the
+    first maximum of f in that order, and the witness reported on success is
+    the first feasible branch, so results are deterministic.  A box larger
+    than MAX_BRANCH_CANDIDATES is reported as UNSUPPORTED_SPECTRUM.
     """
     rep = verify_channel(T)
     if not rep.is_channel:
@@ -229,38 +224,17 @@ def markovian_check(
         1.0 + float(np.linalg.norm(A.A0, 2))
     )
 
-    if C == 0:
-        best_m, best_v = (), _lambda_min(A.A0)
-    elif d == 2 and C == 1:
-        sr = qubit_branch_search(A, m_max)
-        lo = int(np.clip(math.floor(sr.m_star), -m_max, m_max))
-        hi = int(np.clip(math.ceil(sr.m_star), -m_max, m_max))
-        cands = sorted({(lo,), (hi,)}, key=lambda m: (max(abs(x) for x in m), m))
-        best_m, best_v = None, -np.inf
-        for m in cands:
-            v = _lambda_min(A.at(m))
-            if v > best_v:
-                best_m, best_v = m, v
-    else:
-        if (2 * m_max + 1) ** C > MAX_BRANCH_CANDIDATES:
-            return _early_report(
-                Verdict.UNSUPPORTED_SPECTRUM, d, m_max,
-                f"{C} complex pairs give {(2 * m_max + 1) ** C} branch candidates, "
-                f"beyond the supported budget of {MAX_BRANCH_CANDIDATES}",
-            )
-        best_m, best_v = None, -np.inf
-        for m in branch_candidates(C, m_max):
-            v = _lambda_min(A.at(m))
-            if v > best_v:
-                best_m, best_v = m, v
+    if (2 * m_max + 1) ** C > MAX_BRANCH_CANDIDATES:
+        return _early_report(
+            Verdict.UNSUPPORTED_SPECTRUM, d, m_max,
+            f"{C} complex pairs give {(2 * m_max + 1) ** C} branch candidates, "
+            f"beyond the supported budget of {MAX_BRANCH_CANDIDATES}",
+        )
+    best_m, best_v, witness_m = branch_search(A, m_max, tol_m)
 
     best = BranchIndex(best_m)
-    if best_v >= -tol_m:
-        witness = best
-        for m in branch_candidates(C, m_max):
-            if m == best_m or _lambda_min(A.at(m)) >= -tol_m:
-                witness = BranchIndex(m)
-                break
+    if witness_m is not None:
+        witness = BranchIndex(witness_m)
         return MarkovReport(
             verdict=Verdict.MARKOVIAN,
             dimension=d,

@@ -208,13 +208,13 @@ def ccp_test(L: GeneratorMatrix, tol: float | None = None) -> CcpReport:
     Hamiltonian and anticommutator terms vanish under the compression, so
     only the CP part of the generator is probed.
     """
-    from .channels import verify_channel  # local import keeps module order simple
+    from .channels import hermiticity_violation  # local import keeps module order simple
 
-    rep = verify_channel(ChannelMatrix(L.entries, L.basis))
-    if not rep.hermiticity_preserving:
+    hp_viol = hermiticity_violation(ChannelMatrix(L.entries, L.basis))
+    if not hp_viol <= default_tolerances().scaled(sup_norm(L.entries)):
         raise NotHermiticityPreserving(
             f"ccp is only defined for Hermiticity-preserving generators "
-            f"(violation {rep.hermiticity_violation:.3e})"
+            f"(violation {hp_viol:.3e})"
         )
     Lmu = _generator_entries_mu(L)
     Q = involution_gamma(Lmu)
@@ -242,11 +242,11 @@ class GeneratorReport:
 
 def is_lindblad_generator(L: GeneratorMatrix, tol: float | None = None) -> GeneratorReport:
     """The three-part validity test for semigroup generators."""
-    from .channels import verify_channel
+    from .channels import hermiticity_violation
 
     eps = tol if tol is not None else default_tolerances().check * max(1.0, sup_norm(L.entries))
-    rep = verify_channel(ChannelMatrix(L.entries, L.basis), tol=eps)
-    hermitian = rep.hermiticity_preserving
+    hp_viol = hermiticity_violation(ChannelMatrix(L.entries, L.basis))
+    hermitian = hp_viol <= eps
 
     Lmu = _generator_entries_mu(L)
     omega = omega_vector(L.d)
@@ -263,7 +263,7 @@ def is_lindblad_generator(L: GeneratorMatrix, tol: float | None = None) -> Gener
         hermitian=hermitian,
         unital_adjoint=unital,
         ccp=ccp,
-        hermiticity_violation=rep.hermiticity_violation,
+        hermiticity_violation=hp_viol,
         unitality_violation=float(unital_viol),
         ccp_min_eigenvalue=float(ccp_min),
     )

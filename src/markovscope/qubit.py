@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelMatrix, OperatorBasis, change_basis, verify_channel
+from .bases import sup_norm
+from .channels import ChannelMatrix, OperatorBasis, change_basis, hermiticity_violation
 from .config import default_tolerances
 from .errors import ComplexLorentzSpectrum, NotHermiticityPreserving, NotQubit
 
@@ -49,11 +50,11 @@ def lorentz_singular_values(T: ChannelMatrix) -> LorentzSingularValues:
     if T.d != 2:
         raise NotQubit(f"the divisibility criterion is for qubits, got d = {T.d}")
     tols = default_tolerances()
-    rep = verify_channel(T)
-    if not rep.hermiticity_preserving:
+    hp_viol = hermiticity_violation(T)
+    if not hp_viol <= tols.scaled(sup_norm(T.entries)):
         raise NotHermiticityPreserving(
             f"Lorentz singular values need a Hermiticity-preserving map "
-            f"(violation {rep.hermiticity_violation:.3e})"
+            f"(violation {hp_viol:.3e})"
         )
     M = change_basis(T, OperatorBasis.pauli()).entries.real
     det_T = float(np.linalg.det(M))

