@@ -99,5 +99,12 @@ def jump_basis(d: int) -> tuple[np.ndarray, ...]:
     return tuple(ops)
 
 
+def readonly(M) -> np.ndarray:
+    """A read-only, C-ordered complex copy of M, for the frozen records."""
+    M = np.array(M, dtype=complex, order="C")
+    M.setflags(write=False)
+    return M
+
+
 def sup_norm(M: np.ndarray) -> float:
     return float(np.abs(M).max()) if M.size else 0.0

@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bases import flip_operator, omega_vector, pauli_transform, sup_norm, unvec, vec
+from .bases import flip_operator, omega_vector, pauli_transform, readonly, sup_norm, unvec, vec
 from .config import default_tolerances
 from .errors import (
     DimensionMismatch,
@@ -47,6 +47,7 @@ from .errors import (
     NonRealDeterminant,
     NotAChannel,
     NotASquareOfSquare,
+    NotHermiticityPreserving,
     RangeError,
     UnsupportedBasis,
 )
@@ -113,14 +114,11 @@ class ChannelMatrix:
     basis: OperatorBasis
 
     def __post_init__(self):
-        M = np.asarray(self.entries, dtype=complex)
-        d = _square_side(M)
-        if d != self.basis.dimension:
+        M = readonly(self.entries)
+        if _square_side(M) != self.basis.dimension:
             raise DimensionMismatch(
                 f"matrix is {M.shape[0]}x{M.shape[0]} but basis has d = {self.basis.dimension}"
             )
-        M = M.copy()
-        M.setflags(write=False)
         object.__setattr__(self, "entries", M)
 
     @property
@@ -134,11 +132,9 @@ class ChoiMatrix:
     dimension: int
 
     def __post_init__(self):
-        M = np.asarray(self.entries, dtype=complex)
+        M = readonly(self.entries)
         if _square_side(M) != self.dimension:
             raise DimensionMismatch("Choi matrix size does not match the declared dimension")
-        M = M.copy()
-        M.setflags(write=False)
         object.__setattr__(self, "entries", M)
 
 
@@ -147,7 +143,7 @@ class KrausSet:
     operators: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        ops = tuple(np.asarray(K, dtype=complex) for K in self.operators)
+        ops = tuple(readonly(K) for K in self.operators)
         if not ops:
             raise InvalidForm("a Kraus set needs at least one operator")
         d = ops[0].shape[0] if ops[0].ndim == 2 else 0
@@ -156,12 +152,7 @@ class KrausSet:
                 raise DimensionMismatch("Kraus operators must all be square with equal size")
         if len(ops) > d * d:
             raise InvalidForm(f"at most d^2 = {d * d} Kraus operators are meaningful, got {len(ops)}")
-        frozen = []
-        for K in ops:
-            K = K.copy()
-            K.setflags(write=False)
-            frozen.append(K)
-        object.__setattr__(self, "operators", tuple(frozen))
+        object.__setattr__(self, "operators", ops)
 
     @property
     def d(self) -> int:
@@ -173,18 +164,16 @@ class DensityMatrix:
     rho: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.rho, dtype=complex)
+        r = readonly(self.rho)
         if r.ndim != 2 or r.shape[0] != r.shape[1]:
             raise DimensionMismatch(f"a state must be square, got shape {r.shape}")
-        eps = default_tolerances().check * max(1.0, sup_norm(r))
+        eps = default_tolerances().scaled(sup_norm(r))
         if sup_norm(r - r.conj().T) > eps:
             raise InvalidForm("state is not Hermitian")
         if abs(np.trace(r).real - 1.0) > eps or abs(np.trace(r).imag) > eps:
             raise InvalidForm("state trace is not 1")
         if np.linalg.eigvalsh((r + r.conj().T) / 2).min() < -eps:
             raise InvalidForm("state has a negative eigenvalue")
-        r = r.copy()
-        r.setflags(write=False)
         object.__setattr__(self, "rho", r)
 
     @property
@@ -247,13 +236,22 @@ def hermiticity_violation(T: ChannelMatrix) -> float:
     return sup_norm(F @ T.entries @ F - T.entries.conj())
 
 
+def require_hermiticity_preserving(T: ChannelMatrix, what: str) -> None:
+    """Raise NotHermiticityPreserving, with the message what, unless T
+    preserves Hermiticity within the check tolerance scaled to its largest
+    entry."""
+    viol = hermiticity_violation(T)
+    if not viol <= default_tolerances().scaled(sup_norm(T.entries)):
+        raise NotHermiticityPreserving(f"{what} (violation {viol:.3e})")
+
+
 def verify_channel(T: ChannelMatrix, tol: float | None = None) -> ChannelReport:
     """Check the three channel properties and report numeric witnesses.
 
     The default tolerance is 1e-9 relative to the largest entry of the
     matrix (floored at 1e-9 absolute).
     """
-    eps = tol if tol is not None else default_tolerances().check * max(1.0, sup_norm(T.entries))
+    eps = tol if tol is not None else default_tolerances().scaled(sup_norm(T.entries))
     hp_viol = hermiticity_violation(T)
 
     Tmu = as_matrix_units(T)
@@ -308,7 +306,7 @@ def change_basis(T: ChannelMatrix, target: OperatorBasis) -> ChannelMatrix:
 def determinant(T: ChannelMatrix, tol: float | None = None) -> float:
     """det(T-hat), basis-independent and real for Hermiticity-preserving maps."""
     det = complex(np.linalg.det(T.entries))
-    eps = tol if tol is not None else default_tolerances().check * max(1.0, abs(det))
+    eps = tol if tol is not None else default_tolerances().scaled(abs(det))
     if abs(det.imag) > eps:
         raise NonRealDeterminant(
             f"determinant {det} has imaginary part beyond {eps}; "
@@ -333,7 +331,7 @@ def kraus_from_choi(choi: ChoiMatrix, tol: float | None = None) -> KrausSet:
     the map is not completely positive and raises.
     """
     C = choi.entries
-    eps = tol if tol is not None else default_tolerances().check * max(1.0, sup_norm(C))
+    eps = tol if tol is not None else default_tolerances().scaled(sup_norm(C))
     lam, vecs = np.linalg.eigh((C + C.conj().T) / 2)
     if lam.min() < -eps:
         raise NotAChannel(f"Choi matrix has eigenvalue {lam.min():.3e} below -{eps:.3e}")

@@ -27,10 +27,11 @@ from enum import Enum
 
 import numpy as np
 
-from .bases import perp_isometry, sup_norm
+from .bases import readonly, sup_norm
 from .channels import ChannelMatrix, involution_gamma, verify_channel
 from .config import default_tolerances
 from .errors import DefectiveMatrix, NotAChannel, UnpairedComplexEigenvalue
+from .lindblad import ccp_block
 from .spectral import (
     BranchIndex,
     ClusterKind,
@@ -60,15 +61,8 @@ class AMatrices:
     Ac: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        A0 = np.asarray(self.A0, dtype=complex).copy()
-        A0.setflags(write=False)
-        object.__setattr__(self, "A0", A0)
-        frozen = []
-        for A in self.Ac:
-            A = np.asarray(A, dtype=complex).copy()
-            A.setflags(write=False)
-            frozen.append(A)
-        object.__setattr__(self, "Ac", tuple(frozen))
+        object.__setattr__(self, "A0", readonly(self.A0))
+        object.__setattr__(self, "Ac", tuple(readonly(A) for A in self.Ac))
 
     @property
     def num_pairs(self) -> int:
@@ -97,8 +91,8 @@ class MarkovReport:
     diagnostics: str
 
 
-def _compress_hermitian(X: np.ndarray, V: np.ndarray, what: str) -> np.ndarray:
-    A = V.conj().T @ X @ V
+def _compress_hermitian(X: np.ndarray, what: str) -> np.ndarray:
+    A = ccp_block(X)
     resid = sup_norm(A - A.conj().T)
     if resid > 1e-8 * max(1.0, sup_norm(A)):
         raise DefectiveMatrix(
@@ -111,10 +105,9 @@ def _compress_hermitian(X: np.ndarray, V: np.ndarray, what: str) -> np.ndarray:
 def build_a_matrices(S: SpectralData) -> AMatrices:
     """Compress the principal log and the per-pair winding offsets."""
     L0 = principal_log(S)
-    V = perp_isometry(S.dimension)
-    A0 = _compress_hermitian(involution_gamma(L0.entries), V, "principal log")
+    A0 = _compress_hermitian(involution_gamma(L0.entries), "principal log")
     Ac = tuple(
-        _compress_hermitian(involution_gamma(branch_shift(S, c)), V, f"winding term {c}")
+        _compress_hermitian(involution_gamma(branch_shift(S, c)), f"winding term {c}")
         for c in range(S.num_complex_pairs)
     )
     return AMatrices(S.dimension, A0, Ac)

@@ -36,26 +36,21 @@ from .bases import (
     jump_basis,
     omega_vector,
     perp_isometry,
+    readonly,
     sup_norm,
     unvec,
 )
 from .channels import (
-    BasisTag,
     ChannelMatrix,
     OperatorBasis,
     _square_side,
-    change_basis,
+    as_matrix_units,
+    hermiticity_violation,
     involution_gamma,
+    require_hermiticity_preserving,
 )
 from .config import default_tolerances
-from .errors import (
-    DimensionMismatch,
-    InvalidForm,
-    NotAGenerator,
-    NotHermiticityPreserving,
-    RangeError,
-    StepFailure,
-)
+from .errors import InvalidForm, NotAGenerator, RangeError, StepFailure
 
 STEP_TOL = 1e-8
 
@@ -70,36 +65,9 @@ _JUMP_TO_PAULI = np.array(
 )
 
 
-@dataclass(frozen=True)
-class GeneratorMatrix:
+class GeneratorMatrix(ChannelMatrix):
     """A candidate generator; whether it is valid is a checked property, not
     an invariant of the type."""
-
-    entries: np.ndarray
-    basis: OperatorBasis
-
-    def __post_init__(self):
-        M = np.asarray(self.entries, dtype=complex)
-        if _square_side(M) != self.basis.dimension:
-            raise DimensionMismatch(
-                f"matrix is {M.shape[0]}x{M.shape[0]} but basis has d = {self.basis.dimension}"
-            )
-        M = M.copy()
-        M.setflags(write=False)
-        object.__setattr__(self, "entries", M)
-
-    @property
-    def d(self) -> int:
-        return self.basis.dimension
-
-
-def _generator_entries_mu(L: GeneratorMatrix) -> np.ndarray:
-    if L.basis.tag is BasisTag.MATRIX_UNITS:
-        return L.entries
-    # reuse the channel basis change; it is plain conjugation either way
-    return change_basis(
-        ChannelMatrix(L.entries, L.basis), OperatorBasis.matrix_units(L.d)
-    ).entries
 
 
 def trace_basis(d: int) -> tuple[np.ndarray, ...]:
@@ -131,7 +99,7 @@ class LindbladForm:
             raise InvalidForm(
                 f"G must be {(d * d - 1)}x{(d * d - 1)} for d = {d}, got shape {G.shape}"
             )
-        eps = default_tolerances().check * max(1.0, sup_norm(H), sup_norm(G))
+        eps = default_tolerances().scaled(max(sup_norm(H), sup_norm(G)))
         if sup_norm(H - H.conj().T) > eps:
             raise InvalidForm("H is not Hermitian")
         if sup_norm(G - G.conj().T) > eps:
@@ -147,9 +115,7 @@ class LindbladForm:
             if sup_norm(kappa + kappa.conj().T - self._phi_star_identity(G, d)) > 1e3 * eps:
                 raise InvalidForm("kappa + kappa^dag does not match the CP part on the identity")
         for name, M in (("H", H), ("G", G), ("kappa", kappa)):
-            M = M.copy()
-            M.setflags(write=False)
-            object.__setattr__(self, name, M)
+            object.__setattr__(self, name, readonly(M))
 
     @staticmethod
     def _phi_star_identity(G: np.ndarray, d: int) -> np.ndarray:
@@ -195,6 +161,13 @@ def _assemble(H: np.ndarray, G: np.ndarray, ops: Sequence[np.ndarray]) -> np.nda
     return L
 
 
+def ccp_block(Q: np.ndarray) -> np.ndarray:
+    """V^dag Q V with V = perp_isometry(d): the compression of a d^2 x d^2
+    Choi-type matrix onto the complement of the entangled vector."""
+    V = perp_isometry(_square_side(Q))
+    return V.conj().T @ Q @ V
+
+
 @dataclass(frozen=True)
 class CcpReport:
     is_ccp: bool
@@ -208,21 +181,11 @@ def ccp_test(L: GeneratorMatrix, tol: float | None = None) -> CcpReport:
     Hamiltonian and anticommutator terms vanish under the compression, so
     only the CP part of the generator is probed.
     """
-    from .channels import hermiticity_violation  # local import keeps module order simple
-
-    hp_viol = hermiticity_violation(ChannelMatrix(L.entries, L.basis))
-    if not hp_viol <= default_tolerances().scaled(sup_norm(L.entries)):
-        raise NotHermiticityPreserving(
-            f"ccp is only defined for Hermiticity-preserving generators "
-            f"(violation {hp_viol:.3e})"
-        )
-    Lmu = _generator_entries_mu(L)
-    Q = involution_gamma(Lmu)
-    V = perp_isometry(L.d)
-    A = V.conj().T @ Q @ V
+    require_hermiticity_preserving(L, "ccp is only defined for Hermiticity-preserving generators")
+    A = ccp_block(involution_gamma(as_matrix_units(L).entries))
     A = (A + A.conj().T) / 2
     lam_min = float(np.linalg.eigvalsh(A).min())
-    eps = tol if tol is not None else default_tolerances().check * max(1.0, sup_norm(A))
+    eps = tol if tol is not None else default_tolerances().scaled(sup_norm(A))
     return CcpReport(is_ccp=lam_min >= -eps, min_eigenvalue=lam_min)
 
 
@@ -242,13 +205,11 @@ class GeneratorReport:
 
 def is_lindblad_generator(L: GeneratorMatrix, tol: float | None = None) -> GeneratorReport:
     """The three-part validity test for semigroup generators."""
-    from .channels import hermiticity_violation
-
-    eps = tol if tol is not None else default_tolerances().check * max(1.0, sup_norm(L.entries))
-    hp_viol = hermiticity_violation(ChannelMatrix(L.entries, L.basis))
+    eps = tol if tol is not None else default_tolerances().scaled(sup_norm(L.entries))
+    hp_viol = hermiticity_violation(L)
     hermitian = hp_viol <= eps
 
-    Lmu = _generator_entries_mu(L)
+    Lmu = as_matrix_units(L).entries
     omega = omega_vector(L.d)
     unital_viol = sup_norm(Lmu.conj().T @ omega)
     unital = unital_viol <= eps
@@ -291,12 +252,11 @@ def lindblad_decompose(L: GeneratorMatrix) -> LindbladForm:
             f"ccp={report.ccp})"
         )
     d = L.d
-    Lmu = _generator_entries_mu(L)
+    Lmu = as_matrix_units(L).entries
     Q = involution_gamma(Lmu)
     Q = (Q + Q.conj().T) / 2
 
-    V = perp_isometry(d)
-    Gj = V.conj().T @ Q @ V
+    Gj = ccp_block(Q)
     Gj = (Gj + Gj.conj().T) / 2
 
     omega = omega_vector(d)

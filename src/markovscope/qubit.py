@@ -19,12 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import sup_norm
-from .channels import ChannelMatrix, OperatorBasis, change_basis, hermiticity_violation
+from .channels import ChannelMatrix, OperatorBasis, change_basis, require_hermiticity_preserving
 from .config import default_tolerances
-from .errors import ComplexLorentzSpectrum, NotHermiticityPreserving, NotQubit
+from .errors import ComplexLorentzSpectrum, NotQubit
 
 _G_METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
+# A computed det M within 8 eps times the product of the column norms of M
+# (Hadamard's bound on |det M|) is rounding; the product is at most sqrt(2)
+# for a channel.
+_DET_ROUNDING = 8 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -47,41 +50,40 @@ def lorentz_singular_values(T: ChannelMatrix) -> LorentzSingularValues:
     parts, clipped at zero).  With positive determinant they are an error:
     the channel is outside the generic family the criterion covers.
     """
+    return _lorentz(T)[0]
+
+
+def _lorentz(T: ChannelMatrix) -> tuple[LorentzSingularValues, float]:
+    """lorentz_singular_values(T) and the rounding level of its det_T."""
     if T.d != 2:
         raise NotQubit(f"the divisibility criterion is for qubits, got d = {T.d}")
-    tols = default_tolerances()
-    hp_viol = hermiticity_violation(T)
-    if not hp_viol <= tols.scaled(sup_norm(T.entries)):
-        raise NotHermiticityPreserving(
-            f"Lorentz singular values need a Hermiticity-preserving map "
-            f"(violation {hp_viol:.3e})"
-        )
+    require_hermiticity_preserving(T, "Lorentz singular values need a Hermiticity-preserving map")
     M = change_basis(T, OperatorBasis.pauli()).entries.real
     det_T = float(np.linalg.det(M))
+    det_tol = _DET_ROUNDING * float(np.prod(np.linalg.norm(M, axis=0)))
     X = M @ _G_METRIC @ M.T @ _G_METRIC
     vals = np.linalg.eigvals(X)
 
-    itol = tols.lorentz_imag
+    itol = default_tolerances().lorentz_imag
     troubled = [v for v in vals if abs(v.imag) > itol * max(1.0, abs(v))]
     if not troubled:
         troubled = [v for v in vals if v.real < -itol * max(1.0, abs(v))]
-    if troubled and det_T > tols.check:
+    if troubled and det_T > det_tol:
         raise ComplexLorentzSpectrum(
             f"T g T' g has eigenvalues {np.round(vals, 9)} off the nonnegative axis "
             "while det > 0; the criterion is undefined for this non-generic channel"
         )
     s = np.sqrt(np.clip(vals.real, 0.0, None))
     s = tuple(float(x) for x in np.sort(s)[::-1])
-    return LorentzSingularValues(s=s, det_T=det_T)
+    return LorentzSingularValues(s=s, det_T=det_T), det_tol
 
 
 def td_markovian_check(T: ChannelMatrix) -> TdReport:
-    """True iff det T is positive and s1^2 s4^2 >= s1 s2 s3 s4 (within
-    tolerance; equality counts)."""
-    lsv = lorentz_singular_values(T)
-    tols = default_tolerances()
-    if lsv.det_T <= tols.check:
+    """True iff det T is positive beyond rounding and s1^2 s4^2 >= s1 s2 s3 s4
+    (within tolerance; equality counts)."""
+    lsv, det_tol = _lorentz(T)
+    if lsv.det_T <= det_tol:
         return TdReport(td_markovian=False, s=lsv)
     s1, s2, s3, s4 = lsv.s
-    ok = s1 * s1 * s4 * s4 >= s1 * s2 * s3 * s4 - tols.lorentz_imag
+    ok = s1 * s1 * s4 * s4 >= s1 * s2 * s3 * s4 - default_tolerances().lorentz_imag
     return TdReport(td_markovian=ok, s=lsv)

@@ -22,20 +22,19 @@ from enum import Enum
 import numpy as np
 from scipy.linalg import expm
 
-from .bases import flip_operator, sup_norm
+from .bases import flip_operator, readonly, sup_norm
 from .channels import (
     ChannelMatrix,
     OperatorBasis,
     as_matrix_units,
     change_basis,
-    hermiticity_violation,
+    require_hermiticity_preserving,
 )
 from .config import default_tolerances
 from .errors import (
     BranchLengthMismatch,
     DefectiveMatrix,
     NegativeRealEigenvalue,
-    NotHermiticityPreserving,
     RangeError,
     SingularChannel,
     UnpairedComplexEigenvalue,
@@ -58,9 +57,7 @@ class Cluster:
     kind: ClusterKind
 
     def __post_init__(self):
-        P = np.asarray(self.projector, dtype=complex).copy()
-        P.setflags(write=False)
-        object.__setattr__(self, "projector", P)
+        object.__setattr__(self, "projector", readonly(self.projector))
 
 
 @dataclass(frozen=True)
@@ -77,9 +74,7 @@ class SpectralData:
     entries: np.ndarray
 
     def __post_init__(self):
-        M = np.asarray(self.entries, dtype=complex).copy()
-        M.setflags(write=False)
-        object.__setattr__(self, "entries", M)
+        object.__setattr__(self, "entries", readonly(self.entries))
 
     @property
     def num_complex_pairs(self) -> int:
@@ -115,26 +110,17 @@ class BranchIndex:
         return max((abs(x) for x in self.m), default=0)
 
 
-def _union_find_clusters(vals: np.ndarray, tol: float) -> list[list[int]]:
+def _cluster_indices(vals: np.ndarray, tol: float) -> list[tuple[complex, np.ndarray]]:
+    """Groups of eigenvalues joined by chains of gaps <= tol, as (mean,
+    indices) pairs: indices ascending, groups by decreasing modulus, then
+    real part, then imaginary part of the mean."""
     n = vals.size
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(vals[i] - vals[j]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values(), key=lambda g: (-abs(vals[g].mean()), -vals[g].mean().real, -vals[g].mean().imag))
+    linked = (np.abs(vals[:, None] - vals[None, :]) <= tol) | np.eye(n, dtype=bool)
+    for _ in range(n.bit_length()):  # paths of up to 2^k steps after k squarings
+        linked = linked @ linked
+    groups = {row.tobytes(): np.flatnonzero(row) for row in linked}  # first-seen order
+    means = [(vals[g].mean(), g) for g in groups.values()]
+    return sorted(means, key=lambda mg: (-abs(mg[0]), -mg[0].real, -mg[0].imag))
 
 
 def eigendecompose(T: ChannelMatrix, tol_cluster: float | None = None) -> SpectralData:
@@ -145,13 +131,8 @@ def eigendecompose(T: ChannelMatrix, tol_cluster: float | None = None) -> Spectr
     against (and then replaced by) the flip-conjugation partner, which keeps
     every later branch construction Hermiticity-preserving to rounding.
     """
+    require_hermiticity_preserving(T, "spectral analysis needs a Hermiticity-preserving map")
     tols = default_tolerances()
-    hp_viol = hermiticity_violation(T)
-    if not hp_viol <= tols.scaled(sup_norm(T.entries)):
-        raise NotHermiticityPreserving(
-            f"spectral analysis needs a Hermiticity-preserving map "
-            f"(violation {hp_viol:.3e})"
-        )
     Tmu = as_matrix_units(T)
     M = Tmu.entries
     d = Tmu.d
@@ -170,8 +151,7 @@ def eigendecompose(T: ChannelMatrix, tol_cluster: float | None = None) -> Spectr
     F = flip_operator(d)
     ptol = tols.projector
     clusters: list[dict] = []
-    for idx in _union_find_clusters(vals, ctol):
-        value = vals[idx].mean()
+    for value, idx in _cluster_indices(vals, ctol):
         P = V[:, idx] @ W[idx, :]
         if sup_norm(P @ P - P) > ptol * max(1.0, sup_norm(P)):
             raise DefectiveMatrix(

@@ -64,6 +64,23 @@ def test_decay_channel_sits_on_the_boundary():
     assert abs(s1 * s1 * s4 * s4 - s1 * s2 * s3 * s4) < 1e-12
 
 
+def test_strong_amplitude_damping_is_td_markovian():
+    # det T = g^4 = 1e-12 is tiny but far above the rounding of a 4x4
+    # determinant; an absolute threshold of 1e-9 reported it as not positive
+    g = 1e-3
+    M = np.array([
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, g, 0.0, 0.0],
+        [0.0, 0.0, g, 0.0],
+        [1.0 - g * g, 0.0, 0.0, g * g],
+    ])
+    T = ChannelMatrix(M, OperatorBasis.pauli())
+    assert markovian_check(T).verdict is Verdict.MARKOVIAN
+    rep = td_markovian_check(T)
+    assert abs(rep.s.det_T - 1e-12) < 1e-24
+    assert rep.td_markovian
+
+
 def test_negative_determinant_short_circuits():
     rep = td_markovian_check(transpose_approximation())
     assert not rep.td_markovian

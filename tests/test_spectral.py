@@ -197,6 +197,14 @@ def test_cluster_tolerance_merges_near_degenerate():
     assert len(S.clusters) == 4
 
 
+def test_cluster_links_chains_of_close_eigenvalues():
+    # neighbours are 8e-9 apart, inside the 1e-8 threshold, but the outer
+    # two are 1.6e-8 apart: the chain still makes one cluster of three
+    T = ChannelMatrix(np.diag([1.0, 0.5, 0.5 + 8e-9, 0.5 + 1.6e-8]), OperatorBasis.pauli())
+    S = eigendecompose(T)
+    assert [c.multiplicity for c in S.clusters] == [1, 3]
+
+
 def test_spectral_data_is_immutable():
     S = eigendecompose(dephasing_channel(1.0))
     with pytest.raises(ValueError):
