@@ -40,7 +40,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bases import flip_operator, omega_vector, pauli_transform, readonly, sup_norm, unvec, vec
-from .config import default_tolerances
+from .config import check_tolerance
 from .errors import (
     DimensionMismatch,
     InvalidForm,
@@ -167,7 +167,7 @@ class DensityMatrix:
         r = readonly(self.rho)
         if r.ndim != 2 or r.shape[0] != r.shape[1]:
             raise DimensionMismatch(f"a state must be square, got shape {r.shape}")
-        eps = default_tolerances().scaled(sup_norm(r))
+        eps = check_tolerance(sup_norm(r))
         if sup_norm(r - r.conj().T) > eps:
             raise InvalidForm("state is not Hermitian")
         if abs(np.trace(r).real - 1.0) > eps or abs(np.trace(r).imag) > eps:
@@ -241,17 +241,19 @@ def require_hermiticity_preserving(T: ChannelMatrix, what: str) -> None:
     preserves Hermiticity within the check tolerance scaled to its largest
     entry."""
     viol = hermiticity_violation(T)
-    if not viol <= default_tolerances().scaled(sup_norm(T.entries)):
+    if not viol <= check_tolerance(sup_norm(T.entries)):
         raise NotHermiticityPreserving(f"{what} (violation {viol:.3e})")
 
 
-def verify_channel(T: ChannelMatrix, tol: float | None = None) -> ChannelReport:
+def verify_channel(T: ChannelMatrix) -> ChannelReport:
     """Check the three channel properties and report numeric witnesses.
 
-    The default tolerance is 1e-9 relative to the largest entry of the
-    matrix (floored at 1e-9 absolute).
+    The tolerance is config.check_tolerance of the largest entry of the
+    matrix: 1e-9 relative (floored at 1e-9 absolute), or MARKOVSCOPE_TOL in
+    place of 1e-9 when that is set, e.g. to accept a noisy tomography
+    estimate.  markovian_check and the other gates use the same value.
     """
-    eps = tol if tol is not None else default_tolerances().scaled(sup_norm(T.entries))
+    eps = check_tolerance(sup_norm(T.entries))
     hp_viol = hermiticity_violation(T)
 
     Tmu = as_matrix_units(T)
@@ -303,10 +305,10 @@ def change_basis(T: ChannelMatrix, target: OperatorBasis) -> ChannelMatrix:
     return ChannelMatrix(U.conj().T @ T.entries @ U, target)
 
 
-def determinant(T: ChannelMatrix, tol: float | None = None) -> float:
+def determinant(T: ChannelMatrix) -> float:
     """det(T-hat), basis-independent and real for Hermiticity-preserving maps."""
     det = complex(np.linalg.det(T.entries))
-    eps = tol if tol is not None else default_tolerances().scaled(abs(det))
+    eps = check_tolerance(abs(det))
     if abs(det.imag) > eps:
         raise NonRealDeterminant(
             f"determinant {det} has imaginary part beyond {eps}; "
@@ -324,14 +326,14 @@ def apply_channel(T: ChannelMatrix, rho: np.ndarray | DensityMatrix) -> np.ndarr
     return unvec(as_matrix_units(T).entries @ vec(rho))
 
 
-def kraus_from_choi(choi: ChoiMatrix, tol: float | None = None) -> KrausSet:
+def kraus_from_choi(choi: ChoiMatrix) -> KrausSet:
     """Extract Kraus operators from the Choi eigendecomposition.
 
     Eigenvalues in [-eps, 0) are clamped to zero; anything below -eps means
     the map is not completely positive and raises.
     """
     C = choi.entries
-    eps = tol if tol is not None else default_tolerances().scaled(sup_norm(C))
+    eps = check_tolerance(sup_norm(C))
     lam, vecs = np.linalg.eigh((C + C.conj().T) / 2)
     if lam.min() < -eps:
         raise NotAChannel(f"Choi matrix has eigenvalue {lam.min():.3e} below -{eps:.3e}")

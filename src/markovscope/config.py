@@ -1,48 +1,53 @@
-"""Tolerance configuration.
+"""Numerical thresholds.
 
-One frozen record carries every threshold the package uses, so callers can
-tighten or relax the whole stack in one place.  The environment variable
-MARKOVSCOPE_TOL, when set, overrides the base check tolerance for newly
-constructed defaults (the CLI picks it up automatically).
+Every threshold the package compares against is a constant of this module;
+they are fixed bounds, not options.  The one setting is the environment
+variable MARKOVSCOPE_TOL: when set, it replaces CHECK_TOL, the base
+tolerance of the hermiticity, trace-preservation and positivity checks that
+validate a channel, a generator or a state (for example a noisy process
+tomography estimate).  It is read on every call, so the CLI and the library
+pick it up alike; it must be a finite positive number.
 """
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+
+from .errors import ParseError
+
+# base tolerance for hermiticity / trace-preservation / positivity checks,
+# applied relative to the sup norm of the matrix under test
+CHECK_TOL = 1e-9
+# eigenvalue clustering threshold, relative to ||T||
+CLUSTER_TOL = 1e-8
+# projector idempotency / pairing consistency
+PROJECTOR_TOL = 1e-8
+# exp(log T) and spectral reconstruction bound, relative
+RECONSTRUCTION_TOL = 1e-7
+# "Markovian" decision margin, scaled by (1 + ||A0||)
+MARKOV_TOL = 1e-7
+# imaginary residue allowed on the Lorentz spectrum of T g T' g
+LORENTZ_IMAG_TOL = 1e-7
+# condition-number limit on the eigenvector matrix before a spectrum is
+# declared defective
+CONDITION_LIMIT = 1e8
+# anti-Hermitian residual allowed on a compressed Choi-type matrix, relative
+COMPRESSION_RESIDUAL_TOL = 1e-8
+# standard-form rebuild residual allowed by lindblad_decompose, relative
+REBUILD_RESIDUAL_TOL = 1e-8
+# slack on kappa + kappa^dag = phi*(1), in units of the check tolerance
+KAPPA_SLACK = 1e3
+# jump rates at or below this are dropped from a jump decomposition
+JUMP_RATE_CUTOFF = 1e-12
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    # base tolerance for hermiticity / trace-preservation / positivity checks,
-    # applied relative to the sup norm of the matrix under test
-    check: float = 1e-9
-    # eigenvalue clustering threshold, relative to ||T||
-    cluster: float = 1e-8
-    # projector idempotency / pairing consistency
-    projector: float = 1e-8
-    # exp(log T) reconstruction bound, relative
-    reconstruction: float = 1e-7
-    # "Markovian" decision margin, scaled by (1 + ||A0||)
-    markov: float = 1e-7
-    # imaginary residue allowed on the Lorentz spectrum of T g T' g
-    lorentz_imag: float = 1e-7
-    # condition-number limit on the eigenvector matrix before a spectrum is
-    # declared defective
-    condition_limit: float = 1e8
-
-    def scaled(self, norm: float) -> float:
-        """Base check tolerance scaled to a matrix of the given sup norm."""
-        return self.check * max(1.0, norm)
-
-
-def default_tolerances() -> Tolerances:
-    """Fresh default record, honoring MARKOVSCOPE_TOL if set."""
-    tols = Tolerances()
+def check_tolerance(norm: float) -> float:
+    """The base check tolerance (MARKOVSCOPE_TOL if set, else CHECK_TOL)
+    scaled to a matrix of the given sup norm."""
     env = os.environ.get("MARKOVSCOPE_TOL")
-    if env is not None:
-        try:
-            tols = replace(tols, check=float(env))
-        except ValueError:
-            raise ValueError(
-                f"MARKOVSCOPE_TOL must be a float, got {env!r}") from None
-    return tols
+    try:
+        base = CHECK_TOL if env is None else float(env)
+    except ValueError:
+        base = 0.0
+    if not 0.0 < base < float("inf"):  # also rejects nan
+        raise ParseError(f"MARKOVSCOPE_TOL must be a finite positive number, got {env!r}")
+    return base * max(1.0, norm)

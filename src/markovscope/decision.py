@@ -29,7 +29,7 @@ import numpy as np
 
 from .bases import readonly, sup_norm
 from .channels import ChannelMatrix, involution_gamma, verify_channel
-from .config import default_tolerances
+from .config import COMPRESSION_RESIDUAL_TOL, MARKOV_TOL
 from .errors import DefectiveMatrix, NotAChannel, UnpairedComplexEigenvalue
 from .lindblad import ccp_block
 from .spectral import (
@@ -94,7 +94,7 @@ class MarkovReport:
 def _compress_hermitian(X: np.ndarray, what: str) -> np.ndarray:
     A = ccp_block(X)
     resid = sup_norm(A - A.conj().T)
-    if resid > 1e-8 * max(1.0, sup_norm(A)):
+    if resid > COMPRESSION_RESIDUAL_TOL * max(1.0, sup_norm(A)):
         raise DefectiveMatrix(
             f"compressed {what} has anti-Hermitian residual {resid:.3e}; "
             "spectral projectors are too inaccurate to decide"
@@ -174,7 +174,6 @@ def markovian_check(
     T: ChannelMatrix,
     m_max: int = 2,
     tol: float | None = None,
-    tol_cluster: float | None = None,
 ) -> MarkovReport:
     """Search the logarithm branches of a channel for a valid generator.
 
@@ -194,7 +193,7 @@ def markovian_check(
         )
     d = T.d
     try:
-        S = eigendecompose(T, tol_cluster=tol_cluster)
+        S = eigendecompose(T)
     except UnpairedComplexEigenvalue as exc:
         return _early_report(
             Verdict.UNSUPPORTED_SPECTRUM, d, m_max, f"spectral pairing failed: {exc}"
@@ -213,7 +212,7 @@ def markovian_check(
 
     A = build_a_matrices(S)
     C = A.num_pairs
-    tol_m = tol if tol is not None else default_tolerances().markov * (
+    tol_m = tol if tol is not None else MARKOV_TOL * (
         1.0 + float(np.linalg.norm(A.A0, 2))
     )
 
@@ -263,19 +262,17 @@ def mu_min(
     T: ChannelMatrix,
     m_max: int = 2,
     tol: float | None = None,
-    tol_cluster: float | None = None,
 ) -> float:
     """Least isotropic noise rate repairing the best branch; 0 for Markovian
     channels, infinite when no logarithm family exists."""
-    return markovian_check(T, m_max=m_max, tol=tol, tol_cluster=tol_cluster).mu_min
+    return markovian_check(T, m_max=m_max, tol=tol).mu_min
 
 
 def markovianity_measure(
     T: ChannelMatrix,
     m_max: int = 2,
     tol: float | None = None,
-    tol_cluster: float | None = None,
 ) -> float:
     """M(T) = exp[mu_min (1 - d^2)] in [0, 1]; exactly 1 for Markovian
     channels and exactly 0 when no Hermiticity-preserving logarithm exists."""
-    return markovian_check(T, m_max=m_max, tol=tol, tol_cluster=tol_cluster).measure
+    return markovian_check(T, m_max=m_max, tol=tol).measure

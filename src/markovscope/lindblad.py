@@ -49,7 +49,7 @@ from .channels import (
     involution_gamma,
     require_hermiticity_preserving,
 )
-from .config import default_tolerances
+from .config import JUMP_RATE_CUTOFF, KAPPA_SLACK, REBUILD_RESIDUAL_TOL, check_tolerance
 from .errors import InvalidForm, NotAGenerator, RangeError, StepFailure
 
 STEP_TOL = 1e-8
@@ -99,48 +99,51 @@ class LindbladForm:
             raise InvalidForm(
                 f"G must be {(d * d - 1)}x{(d * d - 1)} for d = {d}, got shape {G.shape}"
             )
-        eps = default_tolerances().scaled(max(sup_norm(H), sup_norm(G)))
+        eps = check_tolerance(max(sup_norm(H), sup_norm(G)))
         if sup_norm(H - H.conj().T) > eps:
             raise InvalidForm("H is not Hermitian")
         if sup_norm(G - G.conj().T) > eps:
             raise InvalidForm("G is not Hermitian")
         if np.linalg.eigvalsh((G + G.conj().T) / 2).min() < -eps:
             raise InvalidForm("G has a negative eigenvalue; rates must be nonnegative")
+        phi_star = _phi_star_identity(G, trace_basis(d), d)
         if self.kappa is None:
-            kappa = 1j * H + self._phi_star_identity(G, d) / 2
+            kappa = 1j * H + phi_star / 2
         else:
             kappa = np.asarray(self.kappa, dtype=complex)
             if kappa.shape != (d, d):
                 raise InvalidForm(f"kappa must be {d}x{d}, got shape {kappa.shape}")
-            if sup_norm(kappa + kappa.conj().T - self._phi_star_identity(G, d)) > 1e3 * eps:
+            if sup_norm(kappa + kappa.conj().T - phi_star) > KAPPA_SLACK * eps:
                 raise InvalidForm("kappa + kappa^dag does not match the CP part on the identity")
         for name, M in (("H", H), ("G", G), ("kappa", kappa)):
             object.__setattr__(self, name, readonly(M))
-
-    @staticmethod
-    def _phi_star_identity(G: np.ndarray, d: int) -> np.ndarray:
-        ops = trace_basis(d)
-        M = np.zeros((d, d), dtype=complex)
-        for a in range(len(ops)):
-            for b in range(len(ops)):
-                if G[a, b] != 0:
-                    M += G[a, b] * (ops[b].conj().T @ ops[a])
-        return M
 
     @property
     def d(self) -> int:
         return self.H.shape[0]
 
-    def jump_decomposition(self, cutoff: float = 1e-12) -> list[tuple[float, np.ndarray]]:
-        """Diagonalize G into (rate, jump operator) pairs, largest rate first."""
+    def jump_decomposition(self) -> list[tuple[float, np.ndarray]]:
+        """Diagonalize G into (rate, jump operator) pairs, largest rate first;
+        rates at or below JUMP_RATE_CUTOFF are dropped."""
         ops = trace_basis(self.d)
         lam, U = np.linalg.eigh((self.G + self.G.conj().T) / 2)
         out = []
         for k in range(lam.size - 1, -1, -1):
-            if lam[k] > cutoff:
+            if lam[k] > JUMP_RATE_CUTOFF:
                 J = sum(U[a, k] * ops[a] for a in range(len(ops)))
                 out.append((float(lam[k]), J))
         return out
+
+
+def _phi_star_identity(G: np.ndarray, ops: Sequence[np.ndarray], d: int) -> np.ndarray:
+    """phi*(1) = sum_ab G_ab F_b^dag F_a, the adjoint of the CP part of the
+    generator applied to the d x d identity."""
+    M = np.zeros((d, d), dtype=complex)
+    for a, Fa in enumerate(ops):
+        for b, Fb in enumerate(ops):
+            if G[a, b] != 0:
+                M += G[a, b] * (Fb.conj().T @ Fa)
+    return M
 
 
 def _assemble(H: np.ndarray, G: np.ndarray, ops: Sequence[np.ndarray]) -> np.ndarray:
@@ -149,14 +152,11 @@ def _assemble(H: np.ndarray, G: np.ndarray, ops: Sequence[np.ndarray]) -> np.nda
     d = H.shape[0]
     eye = np.eye(d)
     L = 1j * (np.kron(eye, H.T) - np.kron(H, eye))
-    M = np.zeros((d, d), dtype=complex)
     for a, Fa in enumerate(ops):
         for b, Fb in enumerate(ops):
-            g = G[a, b]
-            if g == 0:
-                continue
-            L = L + g * np.kron(Fa, Fb.conj())
-            M = M + g * (Fb.conj().T @ Fa)
+            if G[a, b] != 0:
+                L = L + G[a, b] * np.kron(Fa, Fb.conj())
+    M = _phi_star_identity(G, ops, d)
     L = L - 0.5 * (np.kron(M, eye) + np.kron(eye, M.T))
     return L
 
@@ -174,7 +174,7 @@ class CcpReport:
     min_eigenvalue: float
 
 
-def ccp_test(L: GeneratorMatrix, tol: float | None = None) -> CcpReport:
+def ccp_test(L: GeneratorMatrix) -> CcpReport:
     """Conditional complete positivity: compress L-hat^Gamma to the
     complement of the entangled vector and check for a negative eigenvalue.
 
@@ -185,7 +185,7 @@ def ccp_test(L: GeneratorMatrix, tol: float | None = None) -> CcpReport:
     A = ccp_block(involution_gamma(as_matrix_units(L).entries))
     A = (A + A.conj().T) / 2
     lam_min = float(np.linalg.eigvalsh(A).min())
-    eps = tol if tol is not None else default_tolerances().scaled(sup_norm(A))
+    eps = check_tolerance(sup_norm(A))
     return CcpReport(is_ccp=lam_min >= -eps, min_eigenvalue=lam_min)
 
 
@@ -203,9 +203,10 @@ class GeneratorReport:
         return self.hermitian and self.unital_adjoint and self.ccp
 
 
-def is_lindblad_generator(L: GeneratorMatrix, tol: float | None = None) -> GeneratorReport:
-    """The three-part validity test for semigroup generators."""
-    eps = tol if tol is not None else default_tolerances().scaled(sup_norm(L.entries))
+def is_lindblad_generator(L: GeneratorMatrix) -> GeneratorReport:
+    """The three-part validity test for semigroup generators, each part
+    within the check tolerance scaled to the largest entry of L."""
+    eps = check_tolerance(sup_norm(L.entries))
     hp_viol = hermiticity_violation(L)
     hermitian = hp_viol <= eps
 
@@ -215,8 +216,8 @@ def is_lindblad_generator(L: GeneratorMatrix, tol: float | None = None) -> Gener
     unital = unital_viol <= eps
 
     if hermitian:
-        ccp_rep = ccp_test(L, tol=eps)
-        ccp, ccp_min = ccp_rep.is_ccp, ccp_rep.min_eigenvalue
+        ccp_min = ccp_test(L).min_eigenvalue
+        ccp = ccp_min >= -eps
     else:
         ccp, ccp_min = False, float("nan")
 
@@ -278,7 +279,7 @@ def lindblad_decompose(L: GeneratorMatrix) -> LindbladForm:
 
     form = LindbladForm(H=H, G=G, kappa=kappa)
     resid = sup_norm(generator_from_form(form).entries - Lmu)
-    if resid > 1e-8 * max(1.0, sup_norm(Lmu)):
+    if resid > REBUILD_RESIDUAL_TOL * max(1.0, sup_norm(Lmu)):
         raise NotAGenerator(
             f"standard-form rebuild misses the input by {resid:.3e}; "
             "the matrix is not a generator within tolerance"

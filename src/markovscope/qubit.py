@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelMatrix, OperatorBasis, change_basis, require_hermiticity_preserving
-from .config import default_tolerances
+from .config import LORENTZ_IMAG_TOL
 from .errors import ComplexLorentzSpectrum, NotQubit
 
 _G_METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -64,10 +64,9 @@ def _lorentz(T: ChannelMatrix) -> tuple[LorentzSingularValues, float]:
     X = M @ _G_METRIC @ M.T @ _G_METRIC
     vals = np.linalg.eigvals(X)
 
-    itol = default_tolerances().lorentz_imag
-    troubled = [v for v in vals if abs(v.imag) > itol * max(1.0, abs(v))]
+    troubled = [v for v in vals if abs(v.imag) > LORENTZ_IMAG_TOL * max(1.0, abs(v))]
     if not troubled:
-        troubled = [v for v in vals if v.real < -itol * max(1.0, abs(v))]
+        troubled = [v for v in vals if v.real < -LORENTZ_IMAG_TOL * max(1.0, abs(v))]
     if troubled and det_T > det_tol:
         raise ComplexLorentzSpectrum(
             f"T g T' g has eigenvalues {np.round(vals, 9)} off the nonnegative axis "
@@ -85,5 +84,5 @@ def td_markovian_check(T: ChannelMatrix) -> TdReport:
     if lsv.det_T <= det_tol:
         return TdReport(td_markovian=False, s=lsv)
     s1, s2, s3, s4 = lsv.s
-    ok = s1 * s1 * s4 * s4 >= s1 * s2 * s3 * s4 - default_tolerances().lorentz_imag
+    ok = s1 * s1 * s4 * s4 >= s1 * s2 * s3 * s4 - LORENTZ_IMAG_TOL
     return TdReport(td_markovian=ok, s=lsv)

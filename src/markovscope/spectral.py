@@ -30,7 +30,7 @@ from .channels import (
     change_basis,
     require_hermiticity_preserving,
 )
-from .config import default_tolerances
+from .config import CLUSTER_TOL, CONDITION_LIMIT, PROJECTOR_TOL, RECONSTRUCTION_TOL
 from .errors import (
     BranchLengthMismatch,
     DefectiveMatrix,
@@ -105,10 +105,6 @@ class BranchIndex:
     def zeros(cls, length: int) -> "BranchIndex":
         return cls((0,) * length)
 
-    @property
-    def norm_inf(self) -> int:
-        return max((abs(x) for x in self.m), default=0)
-
 
 def _cluster_indices(vals: np.ndarray, tol: float) -> list[tuple[complex, np.ndarray]]:
     """Groups of eigenvalues joined by chains of gaps <= tol, as (mean,
@@ -123,37 +119,35 @@ def _cluster_indices(vals: np.ndarray, tol: float) -> list[tuple[complex, np.nda
     return sorted(means, key=lambda mg: (-abs(mg[0]), -mg[0].real, -mg[0].imag))
 
 
-def eigendecompose(T: ChannelMatrix, tol_cluster: float | None = None) -> SpectralData:
+def eigendecompose(T: ChannelMatrix) -> SpectralData:
     """Cluster the spectrum of T and build the spectral projectors.
 
-    Eigenvalues closer than tol_cluster times the matrix norm are merged into
+    Eigenvalues closer than CLUSTER_TOL times the matrix norm are merged into
     one cluster.  Conjugate pairs are matched and their projectors checked
     against (and then replaced by) the flip-conjugation partner, which keeps
     every later branch construction Hermiticity-preserving to rounding.
     """
     require_hermiticity_preserving(T, "spectral analysis needs a Hermiticity-preserving map")
-    tols = default_tolerances()
     Tmu = as_matrix_units(T)
     M = Tmu.entries
     d = Tmu.d
     scale = max(1.0, float(np.linalg.norm(M, 2)))
-    ctol = (tol_cluster if tol_cluster is not None else tols.cluster) * scale
+    ctol = CLUSTER_TOL * scale
 
     vals, V = np.linalg.eig(M)
     cond = np.linalg.cond(V)
-    if not np.isfinite(cond) or cond > tols.condition_limit:
+    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise DefectiveMatrix(
-            f"eigenbasis condition number {cond:.3e} exceeds {tols.condition_limit:.1e}; "
+            f"eigenbasis condition number {cond:.3e} exceeds {CONDITION_LIMIT:.1e}; "
             "the matrix is defective or too close to it"
         )
     W = np.linalg.inv(V)
 
     F = flip_operator(d)
-    ptol = tols.projector
     clusters: list[dict] = []
     for value, idx in _cluster_indices(vals, ctol):
         P = V[:, idx] @ W[idx, :]
-        if sup_norm(P @ P - P) > ptol * max(1.0, sup_norm(P)):
+        if sup_norm(P @ P - P) > PROJECTOR_TOL * max(1.0, sup_norm(P)):
             raise DefectiveMatrix(
                 "a cluster projector is not idempotent; eigenvalue clustering "
                 "merged a defective block"
@@ -172,7 +166,7 @@ def eigendecompose(T: ChannelMatrix, tol_cluster: float | None = None) -> Spectr
     for c in clusters:
         if c["kind"] is not ClusterKind.COMPLEX_PAIR_MEMBER:
             Psym = (c["P"] + F @ c["P"].conj() @ F) / 2
-            if sup_norm(Psym - c["P"]) > ptol * max(1.0, sup_norm(c["P"])):
+            if sup_norm(Psym - c["P"]) > PROJECTOR_TOL * max(1.0, sup_norm(c["P"])):
                 raise UnpairedComplexEigenvalue(
                     "a real-eigenvalue projector is not flip-conjugation symmetric"
                 )
@@ -199,7 +193,7 @@ def eigendecompose(T: ChannelMatrix, tol_cluster: float | None = None) -> Spectr
             )
         cm = unused.pop(k)
         partner = F @ clusters[cp]["P"].conj() @ F
-        if sup_norm(partner - clusters[cm]["P"]) > ptol * max(1.0, sup_norm(partner)):
+        if sup_norm(partner - clusters[cm]["P"]) > PROJECTOR_TOL * max(1.0, sup_norm(partner)):
             raise UnpairedComplexEigenvalue(
                 "conjugate-pair projectors are inconsistent with flip conjugation"
             )
@@ -219,7 +213,7 @@ def eigendecompose(T: ChannelMatrix, tol_cluster: float | None = None) -> Spectr
         entries=M,
     )
     resid = sup_norm(data.reconstruct() - M)
-    if resid > tols.reconstruction * scale:
+    if resid > RECONSTRUCTION_TOL * scale:
         raise DefectiveMatrix(
             f"spectral reconstruction residual {resid:.3e} exceeds tolerance; "
             "clustering is unreliable for this matrix"
@@ -241,7 +235,7 @@ def principal_log(S: SpectralData) -> GeneratorMatrix:
         L = L + np.log(c.value) * c.projector
     resid = sup_norm(expm(L) - S.entries)
     scale = max(1.0, sup_norm(S.entries))
-    if resid > default_tolerances().reconstruction * scale:
+    if resid > RECONSTRUCTION_TOL * scale:
         raise DefectiveMatrix(
             f"exp(log T) misses T by {resid:.3e}; spectral data is unreliable"
         )
@@ -272,7 +266,6 @@ def fractional_power(
     T: ChannelMatrix,
     s: float,
     m: BranchIndex | None = None,
-    tol_cluster: float | None = None,
 ) -> ChannelMatrix:
     """T^s = exp(s L_m) on a chosen logarithm branch (principal by default).
 
@@ -285,7 +278,7 @@ def fractional_power(
             RuntimeWarning,
             stacklevel=2,
         )
-    S = eigendecompose(T, tol_cluster=tol_cluster)
+    S = eigendecompose(T)
     if m is None:
         m = BranchIndex.zeros(S.num_complex_pairs)
     L = branch_log(S, m)

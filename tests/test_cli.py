@@ -9,6 +9,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from markovscope import cli
 from markovscope.channels import ChannelMatrix, OperatorBasis
@@ -354,6 +355,15 @@ def test_tol_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MARKOVSCOPE_TOL", "1e-3")
     code, _, _ = run_cli(capsys, ["check", str(path), "--json"])
     assert code == 0
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf", "abc"])
+def test_tol_env_var_must_be_finite_positive(value, capsys, monkeypatch):
+    monkeypatch.setenv("MARKOVSCOPE_TOL", value)
+    code, out, err = run_cli(capsys, ["check", "--model", "dephasing"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: MARKOVSCOPE_TOL must be a finite positive number")
 
 
 def test_module_entry_point():

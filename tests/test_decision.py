@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from markovscope import decision
 from markovscope.bases import omega_vector
-from markovscope.channels import ChannelMatrix, OperatorBasis, mix
+from markovscope.channels import ChannelMatrix, OperatorBasis, mix, verify_channel
 from markovscope.decision import (
     AMatrices,
     Verdict,
@@ -213,3 +213,19 @@ def test_build_a_matrices_shapes():
     assert len(A.Ac) == 1
     assert np.abs(A.A0 - A.A0.conj().T).max() < 1e-12
     assert np.abs(A.Ac[0] - A.Ac[0].conj().T).max() < 1e-12
+
+
+def test_check_tolerance_setting_reaches_channel_validation(monkeypatch):
+    T = dephasing_channel(1.0)
+    E = T.entries.copy()
+    E[0, 0] += 1e-6  # trace defect
+    T = ChannelMatrix(E, T.basis)
+
+    monkeypatch.delenv("MARKOVSCOPE_TOL", raising=False)
+    assert not verify_channel(T).trace_preserving
+    with pytest.raises(NotAChannel):
+        markovian_check(T)
+
+    monkeypatch.setenv("MARKOVSCOPE_TOL", "1e-3")
+    assert verify_channel(T).is_channel
+    assert markovian_check(T).verdict is Verdict.MARKOVIAN

@@ -189,3 +189,22 @@ def test_generator_matrix_immutable():
     L = random_lindblad(2, 1)
     with pytest.raises(ValueError):
         L.entries[0, 0] = 5.0
+
+
+def test_check_tolerance_setting_reaches_every_generator_gate(monkeypatch):
+    L = random_lindblad(2, 1)
+    E = L.entries.copy()
+    E[0, 1] += 1e-6j
+    L = GeneratorMatrix(E, L.basis)
+
+    monkeypatch.delenv("MARKOVSCOPE_TOL", raising=False)
+    report = is_lindblad_generator(L)
+    assert (report.hermitian, report.ccp) == (False, False)
+    with pytest.raises(NotHermiticityPreserving):
+        ccp_test(L)
+
+    # ccp_test's own Hermiticity gate reads the same setting as the report
+    monkeypatch.setenv("MARKOVSCOPE_TOL", "1e-3")
+    report = is_lindblad_generator(L)
+    assert (report.hermitian, report.ccp) == (True, True)
+    assert ccp_test(L).min_eigenvalue == report.ccp_min_eigenvalue

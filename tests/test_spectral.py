@@ -192,8 +192,10 @@ def test_cluster_tolerance_merges_near_degenerate():
     T = ChannelMatrix(np.diag([1.0, 1.0 - g, 0.5, 0.5 + g]), OperatorBasis.pauli())
     S = eigendecompose(T)
     assert sorted(c.multiplicity for c in S.clusters) == [2, 2]
-    # a tighter tolerance keeps all four apart
-    S = eigendecompose(T, tol_cluster=1e-14)
+    # a gap of 1e-6 is above the clustering threshold: all four stay apart
+    g = 1e-6
+    T = ChannelMatrix(np.diag([1.0, 1.0 - g, 0.5, 0.5 + g]), OperatorBasis.pauli())
+    S = eigendecompose(T)
     assert len(S.clusters) == 4
 
 
