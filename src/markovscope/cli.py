@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Every subcommand is a thin shell over one library call; the numbers printed
-are the library results unmodified.  Exit codes: 0 for a completed analysis
-(whatever the verdict), 1 for parse or validation problems, 2 for numerical
-failures, 3 when the input is not a channel.
+are the library results unmodified.  A completed analysis exits 0, whatever
+the verdict; an error exits with the code its exception carries (see
+markovscope.errors).
 """
 from __future__ import annotations
 
@@ -16,19 +16,7 @@ import numpy as np
 
 from .channels import ChannelMatrix, determinant
 from .decision import Verdict, markovian_check
-from .errors import (
-    BranchLengthMismatch,
-    DimensionMismatch,
-    InvalidForm,
-    MarkovscopeError,
-    NotAChannel,
-    NotASquareOfSquare,
-    NotHermiticityPreserving,
-    NotQubit,
-    ParseError,
-    RangeError,
-    UnsupportedBasis,
-)
+from .errors import MarkovscopeError, ParseError, RangeError
 from .io import (
     channel_to_dict,
     load_channel,
@@ -37,7 +25,7 @@ from .io import (
     td_report_to_dict,
 )
 from .qubit import td_markovian_check
-from .spectral import BranchIndex, eigendecompose, fractional_power
+from .spectral import eigendecompose, fractional_power
 from .zoo import (
     JCParams,
     dephasing_channel,
@@ -48,45 +36,14 @@ from .zoo import (
     transpose_approximation,
 )
 
-_VALIDATION_ERRORS = (
-    ParseError,
-    DimensionMismatch,
-    NotASquareOfSquare,
-    UnsupportedBasis,
-    RangeError,
-    NotQubit,
-    InvalidForm,
-    BranchLengthMismatch,
-)
-
-
-def _exit_code(exc: MarkovscopeError) -> int:
-    if isinstance(exc, _VALIDATION_ERRORS):
-        return 1
-    if isinstance(exc, (NotAChannel, NotHermiticityPreserving)):
-        return 3
-    return 2
-
-
-def _model_dephasing(t: float = 1.0) -> ChannelMatrix:
-    return dephasing_channel(t)
-
-
-def _model_rabi(theta: float = np.pi / 4) -> ChannelMatrix:
-    return rabi_unitary(theta)
-
-
-def _model_figure2a(p: float = 0.5) -> ChannelMatrix:
-    return figure2a_mixture(p)
-
 
 def _model_jc(
-    t: float = 1.0,
-    omega: float = 0.2,
-    gamma: float = 0.35,
-    alpha_x: float = 0.5,
-    alpha_y: float = 1.0,
-    alpha_z: float = 0.5,
+    t: float,
+    omega: float,
+    gamma: float,
+    alpha_x: float,
+    alpha_y: float,
+    alpha_z: float,
 ) -> ChannelMatrix:
     return jc_channel(
         t,
@@ -94,20 +51,18 @@ def _model_jc(
     )
 
 
-def _model_transpose_approx() -> ChannelMatrix:
-    return transpose_approximation()
-
-
+# model name -> (builder, default parameters); scan sweeps the first parameter
+# unless --sweep names another
 MODELS = {
-    "dephasing": _model_dephasing,
-    "rabi": _model_rabi,
-    "figure2a": _model_figure2a,
-    "jc": _model_jc,
-    "transpose_approx": _model_transpose_approx,
+    "dephasing": (dephasing_channel, {"t": 1.0}),
+    "rabi": (rabi_unitary, {"theta": np.pi / 4}),
+    "figure2a": (figure2a_mixture, {"p": 0.5}),
+    "jc": (
+        _model_jc,
+        {"t": 1.0, "omega": 0.2, "gamma": 0.35, "alpha_x": 0.5, "alpha_y": 1.0, "alpha_z": 0.5},
+    ),
+    "transpose_approx": (transpose_approximation, {}),
 }
-
-_DEFAULT_SWEEP = {"dephasing": "t", "rabi": "theta", "figure2a": "p", "jc": "t"}
-
 
 def _parse_params(items: list[str]) -> dict[str, float]:
     out: dict[str, float] = {}
@@ -119,21 +74,25 @@ def _parse_params(items: list[str]) -> dict[str, float]:
             out[key] = float(value)
         except ValueError as exc:
             raise ParseError(f"--param {key}: {value!r} is not a number") from exc
+        if not math.isfinite(out[key]):
+            raise ParseError(f"--param {key}: {value!r} is not a finite number")
     return out
 
 
 def _build_model(name: str, params: dict[str, float]) -> ChannelMatrix:
     try:
-        builder = MODELS[name]
+        builder, defaults = MODELS[name]
     except KeyError as exc:
         raise ParseError(f"unknown model {name!r}; choices: {', '.join(sorted(MODELS))}") from exc
     try:
-        return builder(**params)
+        return builder(**{**defaults, **params})
     except TypeError as exc:
         raise ParseError(f"bad parameters for model {name!r}: {exc}") from exc
 
 
 def _load_input(args) -> ChannelMatrix:
+    if args.model is not None and args.file is not None:
+        raise ParseError("provide a channel file or --model NAME, not both")
     if args.model is not None:
         return _build_model(args.model, _parse_params(args.param))
     if args.file is not None:
@@ -167,7 +126,7 @@ def cmd_check(args) -> int:
     print(f"measure: {_fmt(report.measure)}")
     print(f"mu_min: {_fmt(report.mu_min)}")
     if report.witness_branch is not None:
-        print(f"witness branch: {list(report.witness_branch.m)}")
+        print(f"witness branch: {list(report.witness_branch)}")
     print(f"diagnostics: {report.diagnostics}")
     if spectrum is not None and "clusters" in spectrum:
         for k, c in enumerate(spectrum["clusters"]):
@@ -207,6 +166,8 @@ def cmd_tdcheck(args) -> int:
 
 
 def _scan_grid(start: float, stop: float, step: float) -> list[float]:
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ParseError(f"--start, --stop and --step must be finite, got {start}, {stop}, {step}")
     if step <= 0:
         raise ParseError(f"--step must be positive, got {step}")
     if start > stop:
@@ -217,7 +178,7 @@ def _scan_grid(start: float, stop: float, step: float) -> list[float]:
 
 def cmd_scan(args) -> int:
     fixed = _parse_params(args.param)
-    sweep = args.sweep or _DEFAULT_SWEEP.get(args.model)
+    sweep = args.sweep or next(iter(MODELS[args.model][1]), None)
     if sweep is None:
         raise ParseError(f"model {args.model!r} has no sweep parameter; pass --sweep")
     lines = ["param,markovian,mu_min,measure,td_markovian,det"]
@@ -248,17 +209,16 @@ def sample_fractions(d: int, n: int, seed: int) -> dict:
     """
     if n < 1:
         raise RangeError(f"need at least one sample, got n = {n}")
-    results = []
+    n_mk = n_td = n_mk_not_td = 0
     for s in np.random.SeedSequence(seed).generate_state(n, dtype=np.uint64):
         T = random_channel(d, int(s))
         mk = markovian_check(T).verdict is Verdict.MARKOVIAN
-        td = td_markovian_check(T).td_markovian if d == 2 else None
-        results.append((mk, td))
-
-    n_mk = sum(1 for mk, _ in results if mk)
+        n_mk += mk
+        if d == 2:
+            td = td_markovian_check(T).td_markovian
+            n_td += td
+            n_mk_not_td += mk and not td
     if d == 2:
-        n_td = sum(1 for _, td in results if td)
-        n_mk_not_td = sum(1 for mk, td in results if mk and not td)
         td_frac, mk_not_td_frac = n_td / n, n_mk_not_td / n
     else:
         td_frac = mk_not_td_frac = None
@@ -281,8 +241,7 @@ def cmd_sample(args) -> int:
 
 def cmd_power(args) -> int:
     T = _load_input(args)
-    m = BranchIndex(tuple(args.branch)) if args.branch is not None else None
-    out = fractional_power(T, args.s, m=m)
+    out = fractional_power(T, args.s, m=args.branch)
     text = json.dumps(channel_to_dict(out))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -368,7 +327,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except MarkovscopeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _exit_code(exc)
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

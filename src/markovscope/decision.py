@@ -30,16 +30,16 @@ import numpy as np
 from .bases import readonly, sup_norm
 from .channels import ChannelMatrix, involution_gamma, verify_channel
 from .config import COMPRESSION_RESIDUAL_TOL, MARKOV_TOL
-from .errors import DefectiveMatrix, NotAChannel, UnpairedComplexEigenvalue
-from .lindblad import ccp_block
-from .spectral import (
-    BranchIndex,
-    ClusterKind,
-    SpectralData,
-    branch_shift,
-    eigendecompose,
-    principal_log,
+from .errors import (
+    DefectiveMatrix,
+    NegativeRealEigenvalue,
+    NotAChannel,
+    RangeError,
+    SingularChannel,
+    UnpairedComplexEigenvalue,
 )
+from .lindblad import ccp_block
+from .spectral import SpectralData, branch_shift, eigendecompose, principal_log
 
 MAX_BRANCH_CANDIDATES = 250_000
 # Branch candidates stacked into one eigvalsh call; bounds the search memory.
@@ -68,9 +68,7 @@ class AMatrices:
     def num_pairs(self) -> int:
         return len(self.Ac)
 
-    def at(self, m: tuple[int, ...] | BranchIndex) -> np.ndarray:
-        if isinstance(m, BranchIndex):
-            m = m.m
+    def at(self, m: tuple[int, ...]) -> np.ndarray:
         A = self.A0
         for mc, Amat in zip(m, self.Ac):
             if mc:
@@ -82,8 +80,8 @@ class AMatrices:
 class MarkovReport:
     verdict: Verdict
     dimension: int
-    witness_branch: BranchIndex | None
-    best_branch: BranchIndex | None
+    witness_branch: tuple[int, ...] | None
+    best_branch: tuple[int, ...] | None
     max_min_eigenvalue: float
     mu_min: float
     measure: float
@@ -116,12 +114,9 @@ def build_a_matrices(S: SpectralData) -> AMatrices:
 def branch_candidates(C: int, m_max: int):
     """All integer vectors with |m|_inf <= m_max, by increasing shell and
     lexicographically inside each shell.  The zero vector comes first."""
-    if C == 0:
-        yield ()
-        return
     for shell in range(m_max + 1):
         for m in itertools.product(range(-shell, shell + 1), repeat=C):
-            if max(abs(x) for x in m) == shell:
+            if max(map(abs, m), default=0) == shell:
                 yield m
 
 
@@ -181,8 +176,14 @@ def markovian_check(
     enumerated once, shell by shell (branch_search).  The best branch is the
     first maximum of f in that order, and the witness reported on success is
     the first feasible branch, so results are deterministic.  A box larger
-    than MAX_BRANCH_CANDIDATES is reported as UNSUPPORTED_SPECTRUM.
+    than MAX_BRANCH_CANDIDATES is reported as UNSUPPORTED_SPECTRUM.  Maps
+    without a Hermiticity-preserving logarithm get the verdict of the
+    exception principal_log raises.
     """
+    if isinstance(m_max, bool) or not isinstance(m_max, int) or m_max < 0:
+        raise RangeError(f"m_max must be an integer >= 0, got {m_max!r}")
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise RangeError(f"tol must be None or a finite number >= 0, got {tol!r}")
     rep = verify_channel(T)
     if not rep.is_channel:
         raise NotAChannel(
@@ -193,24 +194,15 @@ def markovian_check(
         )
     d = T.d
     try:
-        S = eigendecompose(T)
+        A = build_a_matrices(eigendecompose(T))
     except UnpairedComplexEigenvalue as exc:
         return _early_report(
             Verdict.UNSUPPORTED_SPECTRUM, d, m_max, f"spectral pairing failed: {exc}"
         )
-    if S.has_kind(ClusterKind.ZERO):
-        return _early_report(
-            Verdict.SINGULAR, d, m_max,
-            "zero eigenvalue: the map is singular and admits no logarithm",
-        )
-    if S.has_kind(ClusterKind.REAL_NEGATIVE):
-        neg = min(c.value.real for c in S.clusters if c.kind is ClusterKind.REAL_NEGATIVE)
-        return _early_report(
-            Verdict.NO_HERMITIAN_LOG, d, m_max,
-            f"negative real eigenvalue {neg:.6g}: no Hermiticity-preserving logarithm exists",
-        )
-
-    A = build_a_matrices(S)
+    except SingularChannel as exc:
+        return _early_report(Verdict.SINGULAR, d, m_max, str(exc))
+    except NegativeRealEigenvalue as exc:
+        return _early_report(Verdict.NO_HERMITIAN_LOG, d, m_max, str(exc))
     C = A.num_pairs
     tol_m = tol if tol is not None else MARKOV_TOL * (
         1.0 + float(np.linalg.norm(A.A0, 2))
@@ -222,11 +214,9 @@ def markovian_check(
             f"{C} complex pairs give {(2 * m_max + 1) ** C} branch candidates, "
             f"beyond the supported budget of {MAX_BRANCH_CANDIDATES}",
         )
-    best_m, best_v, witness_m = branch_search(A, m_max, tol_m)
+    best, best_v, witness = branch_search(A, m_max, tol_m)
 
-    best = BranchIndex(best_m)
-    if witness_m is not None:
-        witness = BranchIndex(witness_m)
+    if witness is not None:
         return MarkovReport(
             verdict=Verdict.MARKOVIAN,
             dimension=d,
@@ -237,7 +227,7 @@ def markovian_check(
             measure=1.0,
             m_max=m_max,
             diagnostics=(
-                f"valid generator at branch m = {witness.m} "
+                f"valid generator at branch m = {witness} "
                 f"(searched |m|_inf <= {m_max}, {C} complex pairs)"
             ),
         )
@@ -253,7 +243,7 @@ def markovian_check(
         m_max=m_max,
         diagnostics=(
             f"no valid branch in |m|_inf <= {m_max} ({C} complex pairs); "
-            f"best lambda_min = {best_v:.6e} at m = {best.m}"
+            f"best lambda_min = {best_v:.6e} at m = {best}"
         ),
     )
 

@@ -1,48 +1,60 @@
 """Exception hierarchy.
 
-Three rough tiers, which the CLI maps onto exit codes:
+Every error carries the exit code the command line returns for it:
 
-* input/validation problems (bad files, bad parameters, wrong dimension),
-* numerical failures (defective matrices, unreachable step tolerances),
-* structural facts about the map itself (not a channel at all).
+* 1, ``InputError`` and its subclasses: bad files, bad parameters, wrong
+  dimension;
+* 2, the default: numerical failures and maps without a usable logarithm
+  (defective matrices, unreachable step tolerances, a singular map or a
+  negative real eigenvalue);
+* 3, ``NotAChannel`` and ``NotHermiticityPreserving``: the input is not a
+  channel at all.
 """
 
 
 class MarkovscopeError(Exception):
     """Base class for everything raised on purpose by this package."""
 
+    exit_code = 2
+
+
+class InputError(MarkovscopeError):
+    """Input or validation problem."""
+
+    exit_code = 1
+
 
 # --- input / validation ---
 
-class DimensionMismatch(MarkovscopeError):
+class DimensionMismatch(InputError):
     pass
 
 
-class NotASquareOfSquare(MarkovscopeError):
+class NotASquareOfSquare(InputError):
     """Matrix size is not d*d for an integer d."""
 
 
-class UnsupportedBasis(MarkovscopeError):
+class UnsupportedBasis(InputError):
     pass
 
 
-class RangeError(MarkovscopeError):
+class RangeError(InputError):
     """Parameter outside its documented range."""
 
 
-class NotQubit(MarkovscopeError):
+class NotQubit(InputError):
     pass
 
 
-class InvalidForm(MarkovscopeError):
+class InvalidForm(InputError):
     """Lindblad-form data violates H = H^dag or G >= 0."""
 
 
-class BranchLengthMismatch(MarkovscopeError):
+class BranchLengthMismatch(InputError):
     pass
 
 
-class ParseError(MarkovscopeError):
+class ParseError(InputError):
     """Channel / generator file could not be parsed."""
 
 
@@ -79,6 +91,8 @@ class DegenerateSample(MarkovscopeError):
 class NotAChannel(MarkovscopeError):
     """Input fails the CPTP checks beyond tolerance."""
 
+    exit_code = 3
+
 
 class SingularChannel(MarkovscopeError):
     """Zero eigenvalue: the channel has no logarithm at all."""
@@ -90,7 +104,7 @@ class NegativeRealEigenvalue(MarkovscopeError):
 
 
 class NotHermiticityPreserving(MarkovscopeError):
-    pass
+    exit_code = 3
 
 
 class NotAGenerator(MarkovscopeError):

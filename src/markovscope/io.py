@@ -162,8 +162,8 @@ def report_to_dict(report: MarkovReport) -> dict:
         "schema": SCHEMA_VERSION,
         "verdict": report.verdict.value,
         "dimension": report.dimension,
-        "witness_branch": list(report.witness_branch.m) if report.witness_branch else None,
-        "best_branch": list(report.best_branch.m) if report.best_branch else None,
+        "witness_branch": None if report.witness_branch is None else list(report.witness_branch),
+        "best_branch": None if report.best_branch is None else list(report.best_branch),
         "max_min_eigenvalue": _finite_or_none(report.max_min_eigenvalue),
         "mu_min": _finite_or_none(report.mu_min),
         "measure": float(report.measure),

@@ -15,6 +15,7 @@ eigenvalues admit no such logarithm at all, and a singular map admits none.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -88,22 +89,6 @@ class SpectralData:
 
     def has_kind(self, kind: ClusterKind) -> bool:
         return any(c.kind is kind for c in self.clusters)
-
-
-@dataclass(frozen=True)
-class BranchIndex:
-    m: tuple[int, ...]
-
-    def __post_init__(self):
-        try:
-            m = tuple(int(x) for x in self.m)
-        except (TypeError, ValueError) as exc:
-            raise RangeError(f"branch index must be a sequence of integers, got {self.m!r}") from exc
-        object.__setattr__(self, "m", m)
-
-    @classmethod
-    def zeros(cls, length: int) -> "BranchIndex":
-        return cls((0,) * length)
 
 
 def _cluster_indices(vals: np.ndarray, tol: float) -> list[tuple[complex, np.ndarray]]:
@@ -222,12 +207,18 @@ def eigendecompose(T: ChannelMatrix) -> SpectralData:
 
 
 def principal_log(S: SpectralData) -> GeneratorMatrix:
-    """L_0 = sum_k log(lambda_k) P_k with the principal scalar logarithm."""
+    """L_0 = sum_k log(lambda_k) P_k with the principal scalar logarithm.
+
+    This is the one place that decides that no Hermiticity-preserving
+    logarithm exists: a zero eigenvalue raises SingularChannel and a negative
+    real one NegativeRealEigenvalue.
+    """
     if S.has_kind(ClusterKind.ZERO):
-        raise SingularChannel("the map has a zero eigenvalue; no logarithm exists")
+        raise SingularChannel("zero eigenvalue: the map is singular and admits no logarithm")
     if S.has_kind(ClusterKind.REAL_NEGATIVE):
+        neg = min(c.value.real for c in S.clusters if c.kind is ClusterKind.REAL_NEGATIVE)
         raise NegativeRealEigenvalue(
-            "a negative real eigenvalue rules out every Hermiticity-preserving logarithm"
+            f"negative real eigenvalue {neg:.6g}: no Hermiticity-preserving logarithm exists"
         )
     n = S.dimension * S.dimension
     L = np.zeros((n, n), dtype=complex)
@@ -248,15 +239,19 @@ def branch_shift(S: SpectralData, c: int) -> np.ndarray:
     return 2j * np.pi * (S.clusters[cp].projector - S.clusters[cm].projector)
 
 
-def branch_log(S: SpectralData, m: BranchIndex) -> GeneratorMatrix:
+def branch_log(S: SpectralData, m: tuple[int, ...]) -> GeneratorMatrix:
     """The branch of log T with winding numbers m, one per complex pair."""
-    if len(m.m) != S.num_complex_pairs:
+    try:
+        m = tuple(int(x) for x in m)
+    except (TypeError, ValueError) as exc:
+        raise RangeError(f"branch index must be a sequence of integers, got {m!r}") from exc
+    if len(m) != S.num_complex_pairs:
         raise BranchLengthMismatch(
-            f"branch index has length {len(m.m)} but the spectrum has "
+            f"branch index has length {len(m)} but the spectrum has "
             f"{S.num_complex_pairs} complex pairs"
         )
     L = principal_log(S).entries.copy()
-    for c, mc in enumerate(m.m):
+    for c, mc in enumerate(m):
         if mc:
             L = L + mc * branch_shift(S, c)
     return GeneratorMatrix(L, OperatorBasis.matrix_units(S.dimension))
@@ -265,13 +260,15 @@ def branch_log(S: SpectralData, m: BranchIndex) -> GeneratorMatrix:
 def fractional_power(
     T: ChannelMatrix,
     s: float,
-    m: BranchIndex | None = None,
+    m: tuple[int, ...] | None = None,
 ) -> ChannelMatrix:
     """T^s = exp(s L_m) on a chosen logarithm branch (principal by default).
 
     On a fixed branch this is a semigroup in s, interpolating the snapshot
     into a continuous family.
     """
+    if not math.isfinite(s):
+        raise RangeError(f"exponent must be finite, got {s}")
     if s < 0:
         warnings.warn(
             "negative power inverts the map; the result is generally not a channel",
@@ -279,8 +276,6 @@ def fractional_power(
             stacklevel=2,
         )
     S = eigendecompose(T)
-    if m is None:
-        m = BranchIndex.zeros(S.num_complex_pairs)
-    L = branch_log(S, m)
+    L = branch_log(S, (0,) * S.num_complex_pairs if m is None else m)
     out = ChannelMatrix(expm(s * L.entries), OperatorBasis.matrix_units(S.dimension))
     return change_basis(out, T.basis)

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from markovscope import cli
+from markovscope import cli, errors
 from markovscope.channels import ChannelMatrix, OperatorBasis
 from markovscope.io import channel_to_dict, load_channel, save_channel
 from markovscope.zoo import (
@@ -330,6 +330,72 @@ def test_exit_not_a_channel(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["check", str(path)])
     assert code == 3
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--model", "dephasing", "--param", "t=nan"],
+        ["check", "--model", "rabi", "--param", "theta=inf"],
+        ["scan", "--model", "dephasing", "--start", "0", "--stop", "nan", "--step", "0.5"],
+        ["scan", "--model", "dephasing", "--start", "0", "--stop", "inf", "--step", "0.5"],
+        ["check", "--model", "dephasing", "--tol", "nan"],
+        ["check", "--model", "dephasing", "--tol", "-1"],
+        ["check", "--model", "dephasing", "--m-max", "-1"],
+        ["check", "--model", "figure2a", "--m-max", "-1"],
+        ["power", "--model", "dephasing", "--s", "nan"],
+        ["check", "FILE", "--model", "figure2a"],
+    ],
+)
+def test_invalid_inputs_exit_1(argv, tmp_path, capsys):
+    path = tmp_path / "chan.json"
+    save_channel(dephasing_channel(0.7), str(path))
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert err.startswith("error:")
+    assert out == ""
+
+
+EXIT_CODES = {
+    "MarkovscopeError": 2,
+    "InputError": 1,
+    "DimensionMismatch": 1,
+    "NotASquareOfSquare": 1,
+    "UnsupportedBasis": 1,
+    "RangeError": 1,
+    "NotQubit": 1,
+    "InvalidForm": 1,
+    "BranchLengthMismatch": 1,
+    "ParseError": 1,
+    "DefectiveMatrix": 2,
+    "UnpairedComplexEigenvalue": 2,
+    "StepFailure": 2,
+    "NonRealDeterminant": 2,
+    "ComplexLorentzSpectrum": 2,
+    "DegenerateSample": 2,
+    "NotAChannel": 3,
+    "SingularChannel": 2,
+    "NegativeRealEigenvalue": 2,
+    "NotHermiticityPreserving": 3,
+    "NotAGenerator": 2,
+}
+
+
+def test_every_error_carries_its_exit_code(capsys, monkeypatch):
+    classes = {
+        name: cls
+        for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, errors.MarkovscopeError)
+    }
+    assert {name: cls.exit_code for name, cls in classes.items()} == EXIT_CODES
+    for name, cls in classes.items():
+
+        def fail(args, cls=cls):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "cmd_check", fail)
+        assert run_cli(capsys, ["check", "--model", "dephasing"]) == (EXIT_CODES[name], "", "error: boom\n")
 
 
 def test_tol_flag_loosens_verdict(capsys):

@@ -19,9 +19,9 @@ from markovscope.decision import (
     markovianity_measure,
     mu_min,
 )
-from markovscope.errors import MarkovscopeError, NotAChannel
+from markovscope.errors import MarkovscopeError, NotAChannel, RangeError
 from markovscope.lindblad import GeneratorMatrix, _assemble, trace_basis
-from markovscope.spectral import BranchIndex, eigendecompose
+from markovscope.spectral import eigendecompose
 from markovscope.zoo import (
     dephasing_channel,
     figure2a_mixture,
@@ -112,7 +112,7 @@ def test_branch_search_matches_scalar_enumeration(T, block):
 def test_dephasing_is_markovian():
     r = markovian_check(dephasing_channel(1.0))
     assert r.verdict is Verdict.MARKOVIAN
-    assert r.witness_branch.m == ()
+    assert r.witness_branch == ()
     assert r.mu_min == 0.0
     assert r.measure == 1.0
 
@@ -120,7 +120,7 @@ def test_dephasing_is_markovian():
 def test_unitary_is_markovian_with_principal_witness():
     r = markovian_check(rabi_unitary(np.pi / 4))
     assert r.verdict is Verdict.MARKOVIAN
-    assert r.witness_branch.m == (0,)
+    assert r.witness_branch == (0,)
     assert r.measure == 1.0
 
 
@@ -128,7 +128,7 @@ def test_half_mixture_frozen_values():
     r = markovian_check(figure2a_mixture(0.5))
     assert r.verdict is Verdict.NOT_MARKOVIAN
     assert r.witness_branch is None
-    assert r.best_branch.m == (0,)
+    assert r.best_branch == (0,)
     assert abs(r.mu_min - FROZEN_MU_HALF_MIX) < 1e-10
     assert abs(r.measure - FROZEN_MEASURE_HALF_MIX) < 1e-10
     # d = 2: measure = exp(-3 mu)
@@ -178,6 +178,25 @@ def test_not_a_channel_rejected():
     T = ChannelMatrix(2.0 * np.eye(4), OperatorBasis.matrix_units(2))
     with pytest.raises(NotAChannel):
         markovian_check(T)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"m_max": -1},
+        {"m_max": 1.5},
+        {"m_max": True},
+        {"tol": float("nan")},
+        {"tol": float("inf")},
+        {"tol": -1.0},
+    ],
+)
+def test_check_rejects_bad_search_settings(kwargs):
+    # at the parent, m_max = -1 called dephasing MARKOVIAN after searching no
+    # branch, and tol = nan or -1 called it NOT_MARKOVIAN with measure 1
+    for T in (dephasing_channel(1.0), figure2a_mixture(0.5)):
+        with pytest.raises(RangeError):
+            markovian_check(T, **kwargs)
 
 
 def test_tolerance_knob_can_flip_a_verdict():

@@ -12,10 +12,10 @@ from markovscope.errors import (
     DefectiveMatrix,
     NegativeRealEigenvalue,
     NotHermiticityPreserving,
+    RangeError,
     SingularChannel,
 )
 from markovscope.spectral import (
-    BranchIndex,
     ClusterKind,
     SpectralData,
     branch_log,
@@ -115,7 +115,7 @@ def test_branch_logs_reconstruct_for_all_small_windings():
     Tmu = as_matrix_units(T).entries
     S = eigendecompose(T)
     for m in itertools.product(range(-3, 4), repeat=S.num_complex_pairs):
-        L = branch_log(S, BranchIndex(m))
+        L = branch_log(S, m)
         assert np.abs(expm(L.entries) - Tmu).max() < 1e-7
 
 
@@ -130,15 +130,28 @@ def test_branch_shift_is_traceless_and_hermiticity_compatible():
 
 def test_branch_trace_is_winding_independent():
     S = eigendecompose(figure2a_mixture(0.5))
-    t0 = np.trace(branch_log(S, BranchIndex((0,))).entries)
-    t3 = np.trace(branch_log(S, BranchIndex((3,))).entries)
+    t0 = np.trace(branch_log(S, (0,)).entries)
+    t3 = np.trace(branch_log(S, (3,)).entries)
     assert abs(t0 - t3) < 1e-12
 
 
 def test_branch_length_mismatch():
     S = eigendecompose(figure2a_mixture(0.5))
     with pytest.raises(BranchLengthMismatch):
-        branch_log(S, BranchIndex((0, 0)))
+        branch_log(S, (0, 0))
+
+
+def test_branch_index_must_be_integers():
+    S = eigendecompose(figure2a_mixture(0.5))
+    for m in (None, ("x",), 3):
+        with pytest.raises(RangeError):
+            branch_log(S, m)
+
+
+@pytest.mark.parametrize("s", [float("nan"), float("inf"), -float("inf")])
+def test_fractional_power_rejects_non_finite_exponent(s):
+    with pytest.raises(RangeError):
+        fractional_power(dephasing_channel(1.0), s)
 
 
 def test_fractional_power_identity_at_one():
@@ -154,7 +167,7 @@ def test_fractional_power_dephasing_square():
 
 
 def test_fractional_power_semigroup():
-    for m in (None, BranchIndex((1,))):
+    for m in (None, (1,)):
         T = figure2a_mixture(0.5)
         H = fractional_power(T, 0.5, m)
         HH = as_matrix_units(H).entries @ as_matrix_units(H).entries
