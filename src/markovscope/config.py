@@ -36,6 +36,10 @@ COMPRESSION_RESIDUAL_TOL = 1e-8
 REBUILD_RESIDUAL_TOL = 1e-8
 # slack on kappa + kappa^dag = phi*(1), in units of the check tolerance
 KAPPA_SLACK = 1e3
+# slack of a branch-search cut, in units of eps * n * (1 + ||A_0||_F +
+# m_max sum_c ||A_c||_F): covers the rounding of eigvalsh, of the sum A(m)
+# and of the cut itself
+CUT_SLACK = 64
 # jump rates at or below this are dropped from a jump decomposition
 JUMP_RATE_CUTOFF = 1e-12
 

@@ -9,7 +9,11 @@ relevant Choi-type matrices once to the complement of the entangled vector,
     A_0 = compress(L_0^Gamma),   A_c = compress((2 pi i (P_c - F conj(P_c) F))^Gamma),
 
 turns the branch search into integer optimization of the concave function
-f(m) = lambda_min(A_0 + sum_c m_c A_c).  The map is Markovian exactly when
+f(m) = lambda_min(A_0 + sum_c m_c A_c).  For any unit vector v,
+f(m) <= v^dag A(m) v, which is linear in m, so the minimum eigenvectors of
+evaluated branches bound f everywhere; the search skips every branch whose
+bound lies below the best value found, which cannot change its result
+(branch_search).  The map is Markovian exactly when
 some integer vector makes f nonnegative; otherwise the worst eigenvalue gap
 converts into the least admixture of isotropic noise that would repair the
 best branch, mu_min = d * max(0, -max_m f(m)), and into the measure
@@ -20,16 +24,16 @@ and receive their own verdicts (and measure 0).
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
 from .bases import readonly, sup_norm
 from .channels import ChannelMatrix, involution_gamma, verify_channel
-from .config import COMPRESSION_RESIDUAL_TOL, MARKOV_TOL
+from .config import COMPRESSION_RESIDUAL_TOL, CUT_SLACK, MARKOV_TOL
 from .errors import (
     DefectiveMatrix,
     NegativeRealEigenvalue,
@@ -44,6 +48,10 @@ from .spectral import SpectralData, branch_shift, eigendecompose, principal_log
 MAX_BRANCH_CANDIDATES = 250_000
 # Branch candidates stacked into one eigvalsh call; bounds the search memory.
 SEARCH_BLOCK = 256
+# Matrices of each evaluated block whose minimum eigenvectors become cuts.
+CUTS_PER_BLOCK = 8
+# The newest cuts kept; bounds the pruning cost of a block.
+MAX_CUTS = 64
 
 
 class Verdict(Enum):
@@ -111,43 +119,90 @@ def build_a_matrices(S: SpectralData) -> AMatrices:
     return AMatrices(S.dimension, A0, Ac)
 
 
+def _int_dtype(bound: int) -> np.dtype:
+    """The smallest signed integer type that holds +-bound."""
+    return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
+                if np.iinfo(t).max >= bound)
+
+
+@lru_cache(maxsize=8)
+def _branch_table(C: int, m_max: int) -> np.ndarray:
+    """Every integer vector with |m|_inf <= m_max as the rows of one
+    read-only array, by increasing shell and lexicographically inside each
+    shell.  The zero vector comes first."""
+    side = 2 * m_max + 1
+    box = np.indices((side,) * C, dtype=_int_dtype(2 * m_max)).reshape(C, side**C).T
+    box = (box - m_max).astype(_int_dtype(m_max))
+    # np.indices is lexicographic; a stable sort by shell keeps that order inside each shell
+    table = box[np.argsort(np.abs(box).max(axis=1, initial=0), kind="stable")]
+    table.flags.writeable = False
+    return table
+
+
 def branch_candidates(C: int, m_max: int):
     """All integer vectors with |m|_inf <= m_max, by increasing shell and
     lexicographically inside each shell.  The zero vector comes first."""
-    for shell in range(m_max + 1):
-        for m in itertools.product(range(-shell, shell + 1), repeat=C):
-            if max(map(abs, m), default=0) == shell:
-                yield m
+    return map(tuple, _branch_table(C, m_max).tolist())
 
 
 def branch_search(
     A: AMatrices, m_max: int, tol: float
 ) -> tuple[tuple[int, ...], float, tuple[int, ...] | None]:
-    """Evaluate f(m) = lambda_min(A(m)) on every branch of the box |m|_inf <= m_max.
+    """Maximize f(m) = lambda_min(A(m)) over the box |m|_inf <= m_max.
 
     Returns the best branch (the first maximum in shell order), its value,
     and the first branch in shell order with f(m) >= -tol, or None when no
-    branch is feasible.  Candidates are streamed in blocks of SEARCH_BLOCK,
-    each stacked into a single eigvalsh call; every stacked matrix is summed
-    in the order of AMatrices.at, so its value is exactly that of A.at(m).
+    branch is feasible.  The box is one integer table (_branch_table; the
+    caller bounds its size, see MAX_BRANCH_CANDIDATES), taken in blocks of
+    SEARCH_BLOCK rows, each stacked into a single eigvalsh call; every
+    stacked matrix is summed in the order of AMatrices.at, so its value is
+    exactly that of A.at(m).
+
+    Branches whose bound cannot beat the best value so far are skipped.
+    For any unit vector v, f(m) <= v^dag A(m) v = b + g . m with
+    b = v^dag A_0 v and g_c = v^dag A_c v, a cut linear in m.  After each
+    evaluated block, when blocks remain, the minimum eigenvectors of its
+    CUTS_PER_BLOCK best matrices give new cuts (the newest MAX_CUTS are
+    kept).  A later candidate whose least cut lies below the best value by
+    more than a rounding-level slack (CUT_SLACK) is dropped.  The result is
+    that of evaluating every branch: a dropped m has f(m) < best_v, so it
+    is not a new first maximum; while no witness exists every evaluated
+    value is below -tol, so best_v < -tol and it is not a witness either.
+    The surviving branches get their values from the same sum and the same
+    eigvalsh as without pruning.
     """
+    table = _branch_table(A.num_pairs, m_max)
+    Ac = np.array(A.Ac).reshape(A.num_pairs, *A.A0.shape)
+    scale = 1.0 + np.linalg.norm(A.A0) + m_max * sum(np.linalg.norm(M) for M in A.Ac)
+    slack = CUT_SLACK * np.finfo(float).eps * len(A.A0) * scale
+    cut_b, cut_g = np.empty(0), np.empty((0, A.num_pairs))
     best_m, best_v, witness = None, -np.inf, None
-    candidates = branch_candidates(A.num_pairs, m_max)
-    while block := list(itertools.islice(candidates, SEARCH_BLOCK)):
-        ms = np.array(block, dtype=int).reshape(len(block), A.num_pairs)
-        stack = np.repeat(A.A0[None], len(block), axis=0)
-        for c, Ac in enumerate(A.Ac):
+    for start in range(0, len(table), SEARCH_BLOCK):
+        ms = table[start:start + SEARCH_BLOCK]
+        if cut_b.size:
+            ms = ms[(cut_g @ ms.T + cut_b[:, None]).min(axis=0) >= best_v - slack]
+            if not len(ms):
+                continue
+        stack = np.repeat(A.A0[None], len(ms), axis=0)
+        for c, Amat in enumerate(A.Ac):
             mc = ms[:, c, None, None]
             # like AMatrices.at, skip m_c = 0: adding 0 * A_c can flip the sign of a zero
-            np.add(stack, mc * Ac, out=stack, where=mc != 0)
+            np.add(stack, mc * Amat, out=stack, where=mc != 0)
         vals = np.linalg.eigvalsh(stack).min(axis=1)
         k = int(np.argmax(vals))
         if vals[k] > best_v:
-            best_m, best_v = block[k], float(vals[k])
+            best_m, best_v = tuple(ms[k].tolist()), float(vals[k])
         if witness is None:
             feasible = np.flatnonzero(vals >= -tol)
             if feasible.size:
-                witness = block[feasible[0]]
+                witness = tuple(ms[feasible[0]].tolist())
+        if start + SEARCH_BLOCK < len(table):
+            top = np.argsort(vals)[-CUTS_PER_BLOCK:]
+            v = np.linalg.eigh(stack[top])[1][:, :, 0]
+            b = np.einsum("ki,ij,kj->k", v.conj(), A.A0, v).real
+            g = np.einsum("ki,cij,kj->kc", v.conj(), Ac, v).real
+            cut_b = np.concatenate([cut_b, b])[-MAX_CUTS:]
+            cut_g = np.concatenate([cut_g, g])[-MAX_CUTS:]
     return best_m, best_v, witness
 
 
@@ -175,7 +230,11 @@ def markovian_check(
     Every dimension takes the same path: the box |m|_inf <= m_max is
     enumerated once, shell by shell (branch_search).  The best branch is the
     first maximum of f in that order, and the witness reported on success is
-    the first feasible branch, so results are deterministic.  A box larger
+    the first feasible branch, so results are deterministic.  Branches whose
+    certified bound v^dag A(m) v cannot beat the best value so far are
+    skipped: such a branch is neither a new first maximum nor, since every
+    value before the first witness is below -tol, a witness, so the report
+    equals that of evaluating every branch.  A box larger
     than MAX_BRANCH_CANDIDATES is reported as UNSUPPORTED_SPECTRUM.  Maps
     without a Hermiticity-preserving logarithm get the verdict of the
     exception principal_log raises.

@@ -265,7 +265,8 @@ def fractional_power(
     """T^s = exp(s L_m) on a chosen logarithm branch (principal by default).
 
     On a fixed branch this is a semigroup in s, interpolating the snapshot
-    into a continuous family.
+    into a continuous family.  A non-finite s, or one for which s L or
+    exp(s L) overflows, raises RangeError.
     """
     if not math.isfinite(s):
         raise RangeError(f"exponent must be finite, got {s}")
@@ -277,5 +278,10 @@ def fractional_power(
         )
     S = eigendecompose(T)
     L = branch_log(S, (0,) * S.num_complex_pairs if m is None else m)
-    out = ChannelMatrix(expm(s * L.entries), OperatorBasis.matrix_units(S.dimension))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sL = s * L.entries
+        E = expm(sL) if np.isfinite(sL).all() else sL
+    if not np.isfinite(E).all():
+        raise RangeError(f"exponent {s} overflows: exp(s L) is not finite")
+    out = ChannelMatrix(E, OperatorBasis.matrix_units(S.dimension))
     return change_basis(out, T.basis)

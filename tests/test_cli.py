@@ -5,12 +5,14 @@ one subprocess test confirms the module entry point wires up to the same
 function.
 """
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import markovscope
 from markovscope import cli, errors
 from markovscope.channels import ChannelMatrix, OperatorBasis
 from markovscope.io import channel_to_dict, load_channel, save_channel
@@ -317,6 +319,21 @@ def test_exit_branch_mismatch(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["power", "--model", "dephasing", "--s", "1e308"],
+        ["power", "--model", "rabi", "--s", "1e300"],
+    ],
+)
+def test_power_overflow_exits_1(capsys, argv):
+    # s L overflows for dephasing, exp(s L) is NaN for rabi: no matrix is written
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: exponent")
+
+
 def test_exit_numerical(capsys):
     code, _, err = run_cli(capsys, ["power", "--model", "transpose_approx", "--s", "0.5"])
     assert code == 2
@@ -433,11 +450,16 @@ def test_tol_env_var_must_be_finite_positive(value, capsys, monkeypatch):
 
 
 def test_module_entry_point():
+    # the child finds the package that this test imported, installed or not
+    src = os.path.dirname(os.path.dirname(markovscope.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     proc = subprocess.run(
         [sys.executable, "-m", "markovscope.cli", "check", "--model", "dephasing", "--json"],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "MARKOVIAN"

@@ -109,6 +109,62 @@ def test_branch_search_matches_scalar_enumeration(T, block):
         assert branch_search(A, 2, tol) == _scalar_branch_search(A, 2, tol)
 
 
+def _hermitian(rng, n, integer):
+    X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    if integer:  # exact sums, so ties between branches are exact
+        X = np.round(2 * X)
+    return X + X.conj().T
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=_seeds,
+    n=st.integers(1, 4),
+    kinds=st.lists(st.sampled_from(["random", "duplicate", "negated", "zero"]), max_size=4),
+    integer=st.booleans(),
+    shift=st.floats(-3.0, 3.0),
+    m_max=st.integers(0, 3),
+    tol=st.sampled_from([0.0, 1e-9, 0.5]),
+    block=st.sampled_from([1, 7, 256]),
+)
+def test_pruned_search_matches_scalar_enumeration_on_hermitian_matrices(
+    seed, n, kinds, integer, shift, m_max, tol, block
+):
+    # duplicated, negated and zero A_c give flat directions and tied branches
+    rng = np.random.default_rng(seed)
+    A0 = _hermitian(rng, n, integer) + shift * np.eye(n)
+    Ac = []
+    for kind in kinds:
+        if kind == "random" or not Ac:
+            Ac.append(_hermitian(rng, n, integer))
+        elif kind == "zero":
+            Ac.append(np.zeros((n, n)))
+        else:
+            B = Ac[rng.integers(len(Ac))]
+            Ac.append(B if kind == "duplicate" else -B)
+    A = AMatrices(dimension=n, A0=A0, Ac=tuple(Ac))
+    with mock.patch.object(decision, "SEARCH_BLOCK", block):
+        assert branch_search(A, m_max, tol) == _scalar_branch_search(A, m_max, tol)
+
+
+def test_pruned_search_skips_most_of_a_seven_pair_box():
+    A = build_a_matrices(eigendecompose(evolve(random_lindblad(4, 2), 1.0)))
+    assert A.num_pairs == 7  # 5^7 = 78,125 branches at m_max = 2
+    tol = 1e-7 * (1.0 + float(np.linalg.norm(A.A0, 2)))
+    evaluated = 0
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        nonlocal evaluated
+        evaluated += len(a)
+        return eigvalsh(a, *args, **kwargs)
+
+    with mock.patch.object(np.linalg, "eigvalsh", counting):
+        result = branch_search(A, 2, tol)
+    assert evaluated <= 2000
+    assert result == _scalar_branch_search(A, 2, tol)
+
+
 def test_dephasing_is_markovian():
     r = markovian_check(dephasing_channel(1.0))
     assert r.verdict is Verdict.MARKOVIAN
