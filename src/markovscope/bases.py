@@ -6,6 +6,7 @@ matrix-unit basis element at position i*d + j is |i><j|.
 """
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -39,6 +40,18 @@ def flip_operator(d: int) -> np.ndarray:
             F[b * d + a, a * d + b] = 1.0
     F.setflags(write=False)
     return F
+
+
+def flip_conjugate(X: np.ndarray) -> np.ndarray:
+    """F conj(X) F for a d^2 x d^2 matrix X, with F = flip_operator(d),
+    taken as the exact index permutation <a,b|.|c,d> -> <b,a|.|d,c>.
+
+    A map preserves Hermiticity exactly when its matrix-unit transfer matrix
+    is its own flip conjugate, and then the projectors of conjugate
+    eigenvalue clusters are flip conjugates of each other.
+    """
+    d = math.isqrt(X.shape[0])
+    return X.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(X.shape).conj()
 
 
 @lru_cache(maxsize=None)

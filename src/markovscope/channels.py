@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bases import flip_operator, omega_vector, pauli_transform, readonly, sup_norm, unvec, vec
+from .bases import flip_conjugate, omega_vector, pauli_transform, readonly, sup_norm, unvec, vec
 from .config import check_tolerance
 from .errors import (
     DimensionMismatch,
@@ -193,10 +193,11 @@ def transfer_from_kraus(kraus: KrausSet | Sequence[np.ndarray]) -> ChannelMatrix
 
 
 def involution_gamma(M: np.ndarray) -> np.ndarray:
-    """The index swap <i,j|M^Gamma|k,l> = <i,k|M|j,l>; an exact involution."""
+    """The index swap <i,j|M^Gamma|k,l> = <i,k|M|j,l>; an exact involution.
+    It acts on the last two axes, so M may be a stack of matrices."""
     M = np.asarray(M)
-    d = _square_side(M)
-    return M.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    d = _square_side(M[(0,) * (M.ndim - 2)])  # the first matrix of a stack
+    return M.reshape(*M.shape[:-2], d, d, d, d).swapaxes(-3, -2).reshape(M.shape)
 
 
 def as_matrix_units(T: ChannelMatrix) -> ChannelMatrix:
@@ -228,12 +229,11 @@ class ChannelReport:
 
 def hermiticity_violation(T: ChannelMatrix) -> float:
     """Distance from Hermiticity preservation, in the native basis: the
-    largest imaginary entry (Pauli) or the sup norm of F T F - conj(T)
-    (matrix units).  The two tests are equivalent."""
+    largest imaginary entry (Pauli) or the sup norm of F conj(T) F - T
+    (matrix units, see flip_conjugate).  The two tests are equivalent."""
     if T.basis.tag is BasisTag.PAULI_NORMALIZED:
         return sup_norm(T.entries.imag)
-    F = flip_operator(T.d)
-    return sup_norm(F @ T.entries @ F - T.entries.conj())
+    return sup_norm(flip_conjugate(T.entries) - T.entries)
 
 
 def require_hermiticity_preserving(T: ChannelMatrix, what: str) -> None:
@@ -243,6 +243,13 @@ def require_hermiticity_preserving(T: ChannelMatrix, what: str) -> None:
     viol = hermiticity_violation(T)
     if not viol <= check_tolerance(sup_norm(T.entries)):
         raise NotHermiticityPreserving(f"{what} (violation {viol:.3e})")
+
+
+def trace_violation(M: np.ndarray) -> float:
+    """Distance of a matrix-unit transfer matrix from trace preservation:
+    the sup norm of M^dag omega - omega."""
+    omega = omega_vector(_square_side(M))
+    return sup_norm(M.conj().T @ omega - omega)
 
 
 def verify_channel(T: ChannelMatrix) -> ChannelReport:
@@ -257,8 +264,7 @@ def verify_channel(T: ChannelMatrix) -> ChannelReport:
     hp_viol = hermiticity_violation(T)
 
     Tmu = as_matrix_units(T)
-    omega = omega_vector(T.d)
-    tp_viol = sup_norm(Tmu.entries.conj().T @ omega - omega)
+    tp_viol = trace_violation(Tmu.entries)
 
     C = involution_gamma(Tmu.entries)
     lam_min = float(np.linalg.eigvalsh((C + C.conj().T) / 2).min())

@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -276,19 +277,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=None, help="override the Markovianity tolerance")
     p.add_argument("--dump-spectrum", action="store_true", help="include the eigenvalue clusters")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("measure", help="Markovianity measure and mu_min")
     _add_input_args(p)
     p.add_argument("--m-max", dest="m_max", type=int, default=2)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("tdcheck", help="qubit time-dependent-Markovianity criterion")
     _add_input_args(p)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_tdcheck)
 
     p = sub.add_parser("scan", help="sweep a model parameter, emit CSV")
     p.add_argument("--model", required=True, choices=sorted(MODELS))
@@ -301,13 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--param", action="append", default=[], metavar="KEY=VALUE", help="fixed parameters"
     )
     p.add_argument("--output", "-o", help="CSV path (default stdout)")
-    p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("sample", help="Monte Carlo fractions over random channels")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("power", help="fractional power of a channel on a chosen branch")
     _add_input_args(p)
@@ -316,15 +312,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--branch", type=int, nargs="*", default=None, help="winding numbers, one per complex pair"
     )
     p.add_argument("--output", "-o", help="output JSON path (default stdout)")
-    p.set_defaults(func=cmd_power)
 
     return parser
 
 
+# the parser is built on first use and kept for the process
+_parser = lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up at call time, so a replaced cmd_* function is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except MarkovscopeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bases import readonly, sup_norm
+from .bases import readonly
 from .channels import ChannelMatrix, involution_gamma, verify_channel
 from .config import COMPRESSION_RESIDUAL_TOL, CUT_SLACK, MARKOV_TOL
 from .errors import (
@@ -97,26 +97,28 @@ class MarkovReport:
     diagnostics: str
 
 
-def _compress_hermitian(X: np.ndarray, what: str) -> np.ndarray:
-    A = ccp_block(X)
-    resid = sup_norm(A - A.conj().T)
-    if resid > COMPRESSION_RESIDUAL_TOL * max(1.0, sup_norm(A)):
+def build_a_matrices(S: SpectralData) -> AMatrices:
+    """Compress the principal log and the per-pair winding offsets.
+
+    L_0 and the C winding shifts are stacked and compressed in one pass;
+    each compressed matrix must be Hermitian to COMPRESSION_RESIDUAL_TOL of
+    its largest entry and is replaced by its Hermitian part.
+    """
+    shifts = (branch_shift(S, c) for c in range(S.num_complex_pairs))
+    A = ccp_block(involution_gamma(np.array([principal_log(S).entries, *shifts])))
+    AH = A.conj().swapaxes(-1, -2)
+    resid = np.abs(A - AH).max(axis=(1, 2))
+    bound = COMPRESSION_RESIDUAL_TOL * np.maximum(1.0, np.abs(A).max(axis=(1, 2)))
+    bad = np.flatnonzero(resid > bound)
+    if bad.size:
+        k = bad[0]
         raise DefectiveMatrix(
-            f"compressed {what} has anti-Hermitian residual {resid:.3e}; "
+            f"compressed {'principal log' if k == 0 else f'winding term {k - 1}'} has "
+            f"anti-Hermitian residual {resid[k]:.3e}; "
             "spectral projectors are too inaccurate to decide"
         )
-    return (A + A.conj().T) / 2
-
-
-def build_a_matrices(S: SpectralData) -> AMatrices:
-    """Compress the principal log and the per-pair winding offsets."""
-    L0 = principal_log(S)
-    A0 = _compress_hermitian(involution_gamma(L0.entries), "principal log")
-    Ac = tuple(
-        _compress_hermitian(involution_gamma(branch_shift(S, c)), f"winding term {c}")
-        for c in range(S.num_complex_pairs)
-    )
-    return AMatrices(S.dimension, A0, Ac)
+    A = (A + AH) / 2
+    return AMatrices(S.dimension, A[0], tuple(A[1:]))
 
 
 def _int_dtype(bound: int) -> np.dtype:

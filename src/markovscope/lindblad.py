@@ -163,8 +163,9 @@ def _assemble(H: np.ndarray, G: np.ndarray, ops: Sequence[np.ndarray]) -> np.nda
 
 def ccp_block(Q: np.ndarray) -> np.ndarray:
     """V^dag Q V with V = perp_isometry(d): the compression of a d^2 x d^2
-    Choi-type matrix onto the complement of the entangled vector."""
-    V = perp_isometry(_square_side(Q))
+    Choi-type matrix onto the complement of the entangled vector.  It acts
+    on the last two axes, so Q may be a stack of matrices."""
+    V = perp_isometry(_square_side(Q[(0,) * (Q.ndim - 2)]))
     return V.conj().T @ Q @ V
 
 

@@ -4,14 +4,15 @@ with Hermiticity preservation.
 A Hermiticity-preserving map has a spectrum closed under complex conjugation.
 After clustering numerically coincident eigenvalues, each cluster carries a
 spectral projector P = V_k W_k (right-eigenvector block times the matching
-rows of the inverse).  The logarithms of the map that are themselves
-Hermiticity-preserving form a discrete family indexed by one integer per
-complex-conjugate eigenvalue pair,
+rows of the inverse), and the cluster of the conjugate value carries
+F conj(P) F, with F the flip permutation.  The logarithms of the map that
+are themselves Hermiticity-preserving form a discrete family indexed by one
+integer per complex-conjugate eigenvalue pair,
 
     L_m = L_0 + 2 pi i sum_c m_c (P_c - F conj(P_c) F),
 
-with L_0 the principal branch and F the flip permutation.  Real negative
-eigenvalues admit no such logarithm at all, and a singular map admits none.
+with L_0 the principal branch.  Real negative eigenvalues admit no such
+logarithm at all, and a singular map admits none.
 """
 from __future__ import annotations
 
@@ -23,15 +24,22 @@ from enum import Enum
 import numpy as np
 from scipy.linalg import expm
 
-from .bases import flip_operator, readonly, sup_norm
+from .bases import flip_conjugate, readonly, sup_norm
 from .channels import (
     ChannelMatrix,
     OperatorBasis,
     as_matrix_units,
     change_basis,
     require_hermiticity_preserving,
+    trace_violation,
 )
-from .config import CLUSTER_TOL, CONDITION_LIMIT, PROJECTOR_TOL, RECONSTRUCTION_TOL
+from .config import (
+    CLUSTER_TOL,
+    CONDITION_LIMIT,
+    PROJECTOR_TOL,
+    RECONSTRUCTION_TOL,
+    check_tolerance,
+)
 from .errors import (
     BranchLengthMismatch,
     DefectiveMatrix,
@@ -107,14 +115,25 @@ def _cluster_indices(vals: np.ndarray, tol: float) -> list[tuple[complex, np.nda
 def eigendecompose(T: ChannelMatrix) -> SpectralData:
     """Cluster the spectrum of T and build the spectral projectors.
 
+    After the Hermiticity gate, the matrix decomposed is the flip-symmetric
+    part (M + F conj(M) F) / 2 of the matrix-unit transfer matrix M, so a
+    Hermiticity defect that the check tolerance (MARKOVSCOPE_TOL) admits is
+    projected out instead of breaking the pairing below.
+
     Eigenvalues closer than CLUSTER_TOL times the matrix norm are merged into
-    one cluster.  Conjugate pairs are matched and their projectors checked
-    against (and then replaced by) the flip-conjugation partner, which keeps
-    every later branch construction Hermiticity-preserving to rounding.
+    one cluster.  One flip-conjugation rule then pairs and pins every
+    cluster.  A cluster's partner is the cluster nearest its conjugate value
+    (itself when it is real).  The partner must lie within the clustering
+    threshold, be mutual, and have the same multiplicity.  The pin is a real
+    cluster's flip-symmetric part, (P + F conj(P) F) / 2, and, for the lower
+    member of a conjugate pair, F conj(P) F of the upper member with the
+    conjugate value; it may move no projector by more than PROJECTOR_TOL.
+    A failure raises UnpairedComplexEigenvalue.  The pin keeps every later
+    branch construction Hermiticity-preserving to rounding.
     """
     require_hermiticity_preserving(T, "spectral analysis needs a Hermiticity-preserving map")
     Tmu = as_matrix_units(T)
-    M = Tmu.entries
+    M = (Tmu.entries + flip_conjugate(Tmu.entries)) / 2
     d = Tmu.d
     scale = max(1.0, float(np.linalg.norm(M, 2)))
     ctol = CLUSTER_TOL * scale
@@ -128,8 +147,7 @@ def eigendecompose(T: ChannelMatrix) -> SpectralData:
         )
     W = np.linalg.inv(V)
 
-    F = flip_operator(d)
-    clusters: list[dict] = []
+    raw: list[tuple[complex, int, np.ndarray, ClusterKind]] = []
     for value, idx in _cluster_indices(vals, ctol):
         P = V[:, idx] @ W[idx, :]
         if sup_norm(P @ P - P) > PROJECTOR_TOL * max(1.0, sup_norm(P)):
@@ -145,58 +163,41 @@ def eigendecompose(T: ChannelMatrix) -> SpectralData:
             kind = ClusterKind.REAL_POSITIVE if value.real > 0 else ClusterKind.REAL_NEGATIVE
         else:
             kind = ClusterKind.COMPLEX_PAIR_MEMBER
-        clusters.append({"value": value, "mult": len(idx), "P": P, "kind": kind})
+        raw.append((value, len(idx), P, kind))
 
-    # Real clusters: enforce the flip-conjugation symmetry exactly.
-    for c in clusters:
-        if c["kind"] is not ClusterKind.COMPLEX_PAIR_MEMBER:
-            Psym = (c["P"] + F @ c["P"].conj() @ F) / 2
-            if sup_norm(Psym - c["P"]) > PROJECTOR_TOL * max(1.0, sup_norm(c["P"])):
+    values, mults, projectors, kinds = zip(*raw)
+    v = np.array(values)
+    gap = np.abs(v[None, :] - v.conj()[:, None])  # gap[k, j] = |v_j - conj(v_k)|
+    partner = gap.argmin(axis=1).tolist()
+    clusters: list[Cluster] = [None] * len(raw)
+    pairs = []
+    # real clusters first, then upper members: a failing pair is reported at
+    # its upper member, and pairs are listed in the order of their upper ones
+    for k in sorted(range(len(raw)), key=lambda k: (values[k].imag < 0, values[k].imag > 0)):
+        value, P, j = values[k], projectors[k], partner[k]
+        if gap[k, j] > ctol or partner[j] != k:
+            raise UnpairedComplexEigenvalue(
+                f"no conjugate partner within tolerance for eigenvalue {value:.6g}"
+            )
+        if value.imag <= 0:  # an upper member keeps its projector
+            pinned = flip_conjugate(projectors[j])
+            if j == k:
+                pinned = (P + pinned) / 2
+            if sup_norm(pinned - P) > PROJECTOR_TOL * max(1.0, sup_norm(projectors[j])):
                 raise UnpairedComplexEigenvalue(
-                    "a real-eigenvalue projector is not flip-conjugation symmetric"
+                    "a real-eigenvalue projector is not flip-conjugation symmetric" if j == k
+                    else "conjugate-pair projectors are inconsistent with flip conjugation"
                 )
-            c["P"] = Psym
-
-    # Complex clusters: greedy nearest-conjugate matching, then pin the lower
-    # partner to F conj(P_plus) F so the pair is exactly conjugation-closed.
-    plus = [k for k, c in enumerate(clusters) if c["kind"] is ClusterKind.COMPLEX_PAIR_MEMBER and c["value"].imag > 0]
-    minus = [k for k, c in enumerate(clusters) if c["kind"] is ClusterKind.COMPLEX_PAIR_MEMBER and c["value"].imag < 0]
-    if len(plus) != len(minus):
-        raise UnpairedComplexEigenvalue(
-            f"{len(plus)} upper-half-plane clusters vs {len(minus)} lower; "
-            "spectrum is not conjugation-closed"
-        )
-    pairs: list[tuple[int, int]] = []
-    unused = list(minus)
-    for cp in plus:
-        target = np.conj(clusters[cp]["value"])
-        dist = [abs(clusters[cm]["value"] - target) for cm in unused]
-        k = int(np.argmin(dist))
-        if dist[k] > ctol:
-            raise UnpairedComplexEigenvalue(
-                f"no conjugate partner within tolerance for eigenvalue {clusters[cp]['value']:.6g}"
-            )
-        cm = unused.pop(k)
-        partner = F @ clusters[cp]["P"].conj() @ F
-        if sup_norm(partner - clusters[cm]["P"]) > PROJECTOR_TOL * max(1.0, sup_norm(partner)):
-            raise UnpairedComplexEigenvalue(
-                "conjugate-pair projectors are inconsistent with flip conjugation"
-            )
-        if clusters[cp]["mult"] != clusters[cm]["mult"]:
+            P = pinned
+        if mults[j] != mults[k]:
             raise UnpairedComplexEigenvalue("conjugate clusters have different multiplicities")
-        clusters[cm]["P"] = partner
-        clusters[cm]["value"] = complex(np.conj(clusters[cp]["value"]))
-        pairs.append((cp, cm))
+        if value.imag > 0:
+            pairs.append((k, j))
+        elif value.imag < 0:
+            value = complex(np.conj(values[j]))
+        clusters[k] = Cluster(value=value, multiplicity=mults[k], projector=P, kind=kinds[k])
 
-    data = SpectralData(
-        dimension=d,
-        clusters=tuple(
-            Cluster(value=c["value"], multiplicity=c["mult"], projector=c["P"], kind=c["kind"])
-            for c in clusters
-        ),
-        pairs=tuple(pairs),
-        entries=M,
-    )
+    data = SpectralData(dimension=d, clusters=tuple(clusters), pairs=tuple(pairs), entries=M)
     resid = sup_norm(data.reconstruct() - M)
     if resid > RECONSTRUCTION_TOL * scale:
         raise DefectiveMatrix(
@@ -266,7 +267,9 @@ def fractional_power(
 
     On a fixed branch this is a semigroup in s, interpolating the snapshot
     into a continuous family.  A non-finite s, or one for which s L or
-    exp(s L) overflows, raises RangeError.
+    exp(s L) overflows, raises RangeError, and so does an s for which
+    exp(s L) misses trace preservation by more than config.check_tolerance
+    of its largest entry (the rounding of expm grows with |s| ||L||).
     """
     if not math.isfinite(s):
         raise RangeError(f"exponent must be finite, got {s}")
@@ -283,5 +286,11 @@ def fractional_power(
         E = expm(sL) if np.isfinite(sL).all() else sL
     if not np.isfinite(E).all():
         raise RangeError(f"exponent {s} overflows: exp(s L) is not finite")
+    viol = trace_violation(E)
+    if viol > check_tolerance(sup_norm(E)):
+        raise RangeError(
+            f"exponent {s}: exp(s L) misses trace preservation by {viol:.3e}, "
+            "beyond the check tolerance"
+        )
     out = ChannelMatrix(E, OperatorBasis.matrix_units(S.dimension))
     return change_basis(out, T.basis)

@@ -29,6 +29,7 @@ from markovscope.errors import (
     NotAChannel,
     RangeError,
 )
+from markovscope.lindblad import ccp_block
 from markovscope.zoo import dephasing_channel, random_channel, transpose_approximation
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -55,6 +56,16 @@ def test_gamma_is_an_involution():
     for d in (2, 3, 4):
         M = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
         assert np.abs(involution_gamma(involution_gamma(M)) - M).max() == 0.0
+
+
+def test_gamma_and_ccp_block_act_on_each_matrix_of_a_stack():
+    rng = np.random.default_rng(4)
+    for d in (2, 3):
+        X = rng.normal(size=(3, d * d, d * d)) + 1j * rng.normal(size=(3, d * d, d * d))
+        G = involution_gamma(X)
+        assert all((G[k] == involution_gamma(X[k])).all() for k in range(3))
+        B = ccp_block(G)
+        assert all(np.abs(B[k] - ccp_block(G[k])).max() < 1e-14 for k in range(3))
 
 
 def test_choi_of_identity():

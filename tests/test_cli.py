@@ -324,10 +324,14 @@ def test_exit_branch_mismatch(capsys):
     [
         ["power", "--model", "dephasing", "--s", "1e308"],
         ["power", "--model", "rabi", "--s", "1e300"],
+        ["power", "--model", "rabi", "--s", "1e20"],
+        ["power", "--model", "rabi", "--s", "1e12"],
     ],
 )
 def test_power_overflow_exits_1(capsys, argv):
-    # s L overflows for dephasing, exp(s L) is NaN for rabi: no matrix is written
+    # s L overflows for dephasing and exp(s L) is NaN for rabi at 1e300; at
+    # 1e20 and 1e12 exp(s L) is finite but not trace preserving (all zeros,
+    # and a (0, 0) entry of 0.99938): no matrix is written
     code, out, err = run_cli(capsys, argv)
     assert code == 1
     assert out == ""

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from markovscope import decision
 from markovscope.bases import omega_vector
-from markovscope.channels import ChannelMatrix, OperatorBasis, mix, verify_channel
+from markovscope.channels import ChannelMatrix, OperatorBasis, as_matrix_units, mix, verify_channel
 from markovscope.decision import (
     AMatrices,
     Verdict,
@@ -304,3 +304,17 @@ def test_check_tolerance_setting_reaches_channel_validation(monkeypatch):
     monkeypatch.setenv("MARKOVSCOPE_TOL", "1e-3")
     assert verify_channel(T).is_channel
     assert markovian_check(T).verdict is Verdict.MARKOVIAN
+
+
+@pytest.mark.parametrize(
+    "T, mu_clean", [(dephasing_channel(1.0), 0.0), (random_channel(2, 3), 0.8302554073969682)]
+)
+def test_hermiticity_noise_admitted_by_the_tolerance_is_projected_out(T, mu_clean, monkeypatch):
+    # a 1e-6 Hermiticity defect passes validation under MARKOVSCOPE_TOL=1e-3;
+    # eigendecompose then works on the flip-symmetric part of the map
+    monkeypatch.setenv("MARKOVSCOPE_TOL", "1e-3")
+    M = as_matrix_units(T).entries.copy()
+    M[1, 2] += 1e-6j
+    r = markovian_check(ChannelMatrix(M, OperatorBasis.matrix_units(2)))
+    assert r.verdict is Verdict.NOT_MARKOVIAN
+    assert abs(r.mu_min - mu_clean) < 1e-4

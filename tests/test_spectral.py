@@ -3,10 +3,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.stats import unitary_group
 
 from markovscope.bases import flip_operator, omega_vector
-from markovscope.channels import ChannelMatrix, OperatorBasis, as_matrix_units
+from markovscope.channels import ChannelMatrix, OperatorBasis, as_matrix_units, mix
+from markovscope.decision import markovian_check
 from markovscope.errors import (
     BranchLengthMismatch,
     DefectiveMatrix,
@@ -15,6 +19,7 @@ from markovscope.errors import (
     RangeError,
     SingularChannel,
 )
+from markovscope.lindblad import evolve
 from markovscope.spectral import (
     ClusterKind,
     SpectralData,
@@ -29,6 +34,7 @@ from markovscope.zoo import (
     figure2a_mixture,
     rabi_unitary,
     random_channel,
+    random_lindblad,
     transpose_approximation,
 )
 
@@ -226,3 +232,46 @@ def test_spectral_data_is_immutable():
         S.clusters[0].projector[0, 0] = 9.0
     with pytest.raises(ValueError):
         S.entries[0, 0] = 9.0
+
+
+def _haar(d, seed):
+    return unitary_group.rvs(d, random_state=np.random.default_rng(seed))
+
+
+_seeds = st.integers(0, 2**31 - 1)
+
+
+@st.composite
+def _covariance_inputs(draw):
+    d = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from(["random", "exp", "mixture", "unitary"]))
+    seed = draw(_seeds)
+    if kind == "random":
+        return random_channel(d, seed)
+    if kind == "unitary":  # every pair has modulus 1: the partner map sees ties in modulus
+        U = _haar(d, seed)
+        return ChannelMatrix(np.kron(U, U.conj()), OperatorBasis.matrix_units(d))
+    E = evolve(random_lindblad(d, seed), draw(st.floats(0.1, 4.0)))
+    return E if kind == "exp" else mix(E, random_channel(d, seed), 0.5)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(T=_covariance_inputs(), useed=_seeds)
+def test_spectral_data_is_unitarily_covariant(T, useed):
+    # conjugating T by W = U (x) conj(U) keeps every cluster and moves each
+    # projector P to W P W^dag
+    U = _haar(T.d, useed)
+    W = np.kron(U, U.conj())
+    M = W @ as_matrix_units(T).entries @ W.conj().T
+    moved = ChannelMatrix(M, OperatorBasis.matrix_units(T.d))
+    S, S2 = eigendecompose(T), eigendecompose(moved)
+    # clusters are matched by value: equal moduli are ordered by rounding
+    match = [int(np.argmin([abs(c2.value - c.value) for c2 in S2.clusters])) for c in S.clusters]
+    assert sorted(match) == list(range(len(S2.clusters)))
+    for c, k in zip(S.clusters, match):
+        c2 = S2.clusters[k]
+        assert abs(c2.value - c.value) <= 1e-8
+        assert (c2.multiplicity, c2.kind) == (c.multiplicity, c.kind)
+        assert np.abs(c2.projector - W @ c.projector @ W.conj().T).max() <= 1e-8
+    assert sorted((match[a], match[b]) for a, b in S.pairs) == sorted(S2.pairs)
+    assert abs(markovian_check(moved).measure - markovian_check(T).measure) <= 1e-9
