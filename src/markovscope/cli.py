@@ -2,14 +2,15 @@
 
 Every subcommand is a thin shell over one library call; the numbers printed
 are the library results unmodified.  A completed analysis exits 0, whatever
-the verdict; an error exits with the code its exception carries (see
-markovscope.errors).
+the verdict, and so does one whose reader closes the output pipe early; an
+error exits with the code its exception carries (see markovscope.errors).
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import os
 import sys
 from functools import lru_cache
 
@@ -324,7 +325,14 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         # looked up at call time, so a replaced cmd_* function is the one run
-        return globals()[f"cmd_{args.command}"](args)
+        code = globals()[f"cmd_{args.command}"](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout is gone: stop writing, and send what is still
+        # buffered to devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except MarkovscopeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -20,7 +20,8 @@ best branch, mu_min = d * max(0, -max_m f(m)), and into the measure
 M(T) = exp[mu_min (1 - d^2)].
 
 Maps with a zero or negative real eigenvalue have no logarithm family at all
-and receive their own verdicts (and measure 0).
+and receive their own verdicts (and measure 0); a spectrum that cannot be
+decided is UNSUPPORTED_SPECTRUM, with the reason in the diagnostics.
 """
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ from .errors import (
     UnpairedComplexEigenvalue,
 )
 from .lindblad import ccp_block
-from .spectral import SpectralData, branch_shift, eigendecompose, principal_log
+from .spectral import SpectralData, branch_shifts, branch_sum, eigendecompose, principal_log
 
 MAX_BRANCH_CANDIDATES = 250_000
 # Branch candidates stacked into one eigvalsh call; bounds the search memory.
@@ -63,28 +64,6 @@ class Verdict(Enum):
 
 
 @dataclass(frozen=True)
-class AMatrices:
-    dimension: int
-    A0: np.ndarray
-    Ac: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "A0", readonly(self.A0))
-        object.__setattr__(self, "Ac", tuple(readonly(A) for A in self.Ac))
-
-    @property
-    def num_pairs(self) -> int:
-        return len(self.Ac)
-
-    def at(self, m: tuple[int, ...]) -> np.ndarray:
-        A = self.A0
-        for mc, Amat in zip(m, self.Ac):
-            if mc:
-                A = A + mc * Amat
-        return A
-
-
-@dataclass(frozen=True)
 class MarkovReport:
     verdict: Verdict
     dimension: int
@@ -97,15 +76,16 @@ class MarkovReport:
     diagnostics: str
 
 
-def build_a_matrices(S: SpectralData) -> AMatrices:
-    """Compress the principal log and the per-pair winding offsets.
+def build_a_matrices(S: SpectralData) -> np.ndarray:
+    """Compress the principal log and the per-pair winding terms: the
+    read-only stack [A_0, A_1, ..., A_C] of shape (1 + C, k, k).
 
-    L_0 and the C winding shifts are stacked and compressed in one pass;
+    L_0 and the C winding terms are stacked and compressed in one pass;
     each compressed matrix must be Hermitian to COMPRESSION_RESIDUAL_TOL of
     its largest entry and is replaced by its Hermitian part.
     """
-    shifts = (branch_shift(S, c) for c in range(S.num_complex_pairs))
-    A = ccp_block(involution_gamma(np.array([principal_log(S).entries, *shifts])))
+    L = np.concatenate([principal_log(S).entries[None], branch_shifts(S)])
+    A = ccp_block(involution_gamma(L))
     AH = A.conj().swapaxes(-1, -2)
     resid = np.abs(A - AH).max(axis=(1, 2))
     bound = COMPRESSION_RESIDUAL_TOL * np.maximum(1.0, np.abs(A).max(axis=(1, 2)))
@@ -117,8 +97,7 @@ def build_a_matrices(S: SpectralData) -> AMatrices:
             f"anti-Hermitian residual {resid[k]:.3e}; "
             "spectral projectors are too inaccurate to decide"
         )
-    A = (A + AH) / 2
-    return AMatrices(S.dimension, A[0], tuple(A[1:]))
+    return readonly((A + AH) / 2)
 
 
 def _int_dtype(bound: int) -> np.dtype:
@@ -131,8 +110,14 @@ def _int_dtype(bound: int) -> np.dtype:
 def _branch_table(C: int, m_max: int) -> np.ndarray:
     """Every integer vector with |m|_inf <= m_max as the rows of one
     read-only array, by increasing shell and lexicographically inside each
-    shell.  The zero vector comes first."""
+    shell.  The zero vector comes first.  A box of more than
+    MAX_BRANCH_CANDIDATES rows raises RangeError."""
     side = 2 * m_max + 1
+    if side**C > MAX_BRANCH_CANDIDATES:
+        raise RangeError(
+            f"{C} complex pairs give {side**C} branch candidates, "
+            f"beyond the supported budget of {MAX_BRANCH_CANDIDATES}"
+        )
     box = np.indices((side,) * C, dtype=_int_dtype(2 * m_max)).reshape(C, side**C).T
     box = (box - m_max).astype(_int_dtype(m_max))
     # np.indices is lexicographic; a stable sort by shell keeps that order inside each shell
@@ -148,17 +133,17 @@ def branch_candidates(C: int, m_max: int):
 
 
 def branch_search(
-    A: AMatrices, m_max: int, tol: float
+    A: np.ndarray, m_max: int, tol: float
 ) -> tuple[tuple[int, ...], float, tuple[int, ...] | None]:
-    """Maximize f(m) = lambda_min(A(m)) over the box |m|_inf <= m_max.
+    """Maximize f(m) = lambda_min(A_0 + sum_c m_c A_c) over the box
+    |m|_inf <= m_max, for the stack A = [A_0, A_1, ..., A_C].
 
     Returns the best branch (the first maximum in shell order), its value,
     and the first branch in shell order with f(m) >= -tol, or None when no
-    branch is feasible.  The box is one integer table (_branch_table; the
-    caller bounds its size, see MAX_BRANCH_CANDIDATES), taken in blocks of
-    SEARCH_BLOCK rows, each stacked into a single eigvalsh call; every
-    stacked matrix is summed in the order of AMatrices.at, so its value is
-    exactly that of A.at(m).
+    branch is feasible.  The box is one integer table (_branch_table, which
+    refuses more than MAX_BRANCH_CANDIDATES branches), taken in blocks of
+    SEARCH_BLOCK rows; each block is summed by branch_sum and stacked into a
+    single eigvalsh call.
 
     Branches whose bound cannot beat the best value so far are skipped.
     For any unit vector v, f(m) <= v^dag A(m) v = b + g . m with
@@ -173,11 +158,11 @@ def branch_search(
     The surviving branches get their values from the same sum and the same
     eigvalsh as without pruning.
     """
-    table = _branch_table(A.num_pairs, m_max)
-    Ac = np.array(A.Ac).reshape(A.num_pairs, *A.A0.shape)
-    scale = 1.0 + np.linalg.norm(A.A0) + m_max * sum(np.linalg.norm(M) for M in A.Ac)
-    slack = CUT_SLACK * np.finfo(float).eps * len(A.A0) * scale
-    cut_b, cut_g = np.empty(0), np.empty((0, A.num_pairs))
+    A0, Ac = A[0], A[1:]
+    table = _branch_table(len(Ac), m_max)
+    scale = 1.0 + np.linalg.norm(A0) + m_max * sum(np.linalg.norm(M) for M in Ac)
+    slack = CUT_SLACK * np.finfo(float).eps * len(A0) * scale
+    cut_b, cut_g = np.empty(0), np.empty((0, len(Ac)))
     best_m, best_v, witness = None, -np.inf, None
     for start in range(0, len(table), SEARCH_BLOCK):
         ms = table[start:start + SEARCH_BLOCK]
@@ -185,11 +170,7 @@ def branch_search(
             ms = ms[(cut_g @ ms.T + cut_b[:, None]).min(axis=0) >= best_v - slack]
             if not len(ms):
                 continue
-        stack = np.repeat(A.A0[None], len(ms), axis=0)
-        for c, Amat in enumerate(A.Ac):
-            mc = ms[:, c, None, None]
-            # like AMatrices.at, skip m_c = 0: adding 0 * A_c can flip the sign of a zero
-            np.add(stack, mc * Amat, out=stack, where=mc != 0)
+        stack = branch_sum(A0, Ac, ms)
         vals = np.linalg.eigvalsh(stack).min(axis=1)
         k = int(np.argmax(vals))
         if vals[k] > best_v:
@@ -201,25 +182,23 @@ def branch_search(
         if start + SEARCH_BLOCK < len(table):
             top = np.argsort(vals)[-CUTS_PER_BLOCK:]
             v = np.linalg.eigh(stack[top])[1][:, :, 0]
-            b = np.einsum("ki,ij,kj->k", v.conj(), A.A0, v).real
+            b = np.einsum("ki,ij,kj->k", v.conj(), A0, v).real
             g = np.einsum("ki,cij,kj->kc", v.conj(), Ac, v).real
             cut_b = np.concatenate([cut_b, b])[-MAX_CUTS:]
             cut_g = np.concatenate([cut_g, g])[-MAX_CUTS:]
     return best_m, best_v, witness
 
 
-def _early_report(verdict: Verdict, d: int, m_max: int, diagnostics: str) -> MarkovReport:
-    return MarkovReport(
-        verdict=verdict,
-        dimension=d,
-        witness_branch=None,
-        best_branch=None,
-        max_min_eigenvalue=float("nan"),
-        mu_min=float("inf"),
-        measure=0.0,
-        m_max=m_max,
-        diagnostics=diagnostics,
-    )
+# Every failure before the branch search, and its verdict; the exception's
+# message is the report's diagnostics.  A new reason to refuse a spectrum is
+# one row here.
+_PRE_SEARCH_VERDICTS = {
+    UnpairedComplexEigenvalue: Verdict.UNSUPPORTED_SPECTRUM,
+    DefectiveMatrix: Verdict.UNSUPPORTED_SPECTRUM,
+    RangeError: Verdict.UNSUPPORTED_SPECTRUM,  # the box exceeds MAX_BRANCH_CANDIDATES
+    SingularChannel: Verdict.SINGULAR,
+    NegativeRealEigenvalue: Verdict.NO_HERMITIAN_LOG,
+}
 
 
 def markovian_check(
@@ -236,10 +215,14 @@ def markovian_check(
     certified bound v^dag A(m) v cannot beat the best value so far are
     skipped: such a branch is neither a new first maximum nor, since every
     value before the first witness is below -tol, a witness, so the report
-    equals that of evaluating every branch.  A box larger
-    than MAX_BRANCH_CANDIDATES is reported as UNSUPPORTED_SPECTRUM.  Maps
-    without a Hermiticity-preserving logarithm get the verdict of the
-    exception principal_log raises.
+    equals that of evaluating every branch.
+
+    A map that fails before the search gets the verdict _PRE_SEARCH_VERDICTS
+    gives its exception, with mu_min infinite and measure 0: a defective
+    spectrum, a failed conjugate pairing or a box larger than
+    MAX_BRANCH_CANDIDATES is UNSUPPORTED_SPECTRUM, and a map without a
+    Hermiticity-preserving logarithm gets the verdict of the exception
+    principal_log raises.
     """
     if isinstance(m_max, bool) or not isinstance(m_max, int) or m_max < 0:
         raise RangeError(f"m_max must be an integer >= 0, got {m_max!r}")
@@ -254,58 +237,37 @@ def markovian_check(
             f"cp={rep.completely_positive} (min Choi eig {rep.min_choi_eigenvalue:.2e})"
         )
     d = T.d
+    best, best_v, witness = None, math.nan, None
     try:
         A = build_a_matrices(eigendecompose(T))
-    except UnpairedComplexEigenvalue as exc:
-        return _early_report(
-            Verdict.UNSUPPORTED_SPECTRUM, d, m_max, f"spectral pairing failed: {exc}"
-        )
-    except SingularChannel as exc:
-        return _early_report(Verdict.SINGULAR, d, m_max, str(exc))
-    except NegativeRealEigenvalue as exc:
-        return _early_report(Verdict.NO_HERMITIAN_LOG, d, m_max, str(exc))
-    C = A.num_pairs
-    tol_m = tol if tol is not None else MARKOV_TOL * (
-        1.0 + float(np.linalg.norm(A.A0, 2))
-    )
-
-    if (2 * m_max + 1) ** C > MAX_BRANCH_CANDIDATES:
-        return _early_report(
-            Verdict.UNSUPPORTED_SPECTRUM, d, m_max,
-            f"{C} complex pairs give {(2 * m_max + 1) ** C} branch candidates, "
-            f"beyond the supported budget of {MAX_BRANCH_CANDIDATES}",
-        )
-    best, best_v, witness = branch_search(A, m_max, tol_m)
-
-    if witness is not None:
-        return MarkovReport(
-            verdict=Verdict.MARKOVIAN,
-            dimension=d,
-            witness_branch=witness,
-            best_branch=best,
-            max_min_eigenvalue=best_v,
-            mu_min=0.0,
-            measure=1.0,
-            m_max=m_max,
-            diagnostics=(
+        C = len(A) - 1
+        tol_m = tol if tol is not None else MARKOV_TOL * (1.0 + float(np.linalg.norm(A[0], 2)))
+        best, best_v, witness = branch_search(A, m_max, tol_m)
+    except tuple(_PRE_SEARCH_VERDICTS) as exc:
+        verdict, mu, diagnostics = _PRE_SEARCH_VERDICTS[type(exc)], math.inf, str(exc)
+    else:
+        if witness is not None:
+            verdict, mu = Verdict.MARKOVIAN, 0.0
+            diagnostics = (
                 f"valid generator at branch m = {witness} "
                 f"(searched |m|_inf <= {m_max}, {C} complex pairs)"
-            ),
-        )
-    mu = d * max(0.0, -best_v)
+            )
+        else:
+            verdict, mu = Verdict.NOT_MARKOVIAN, d * max(0.0, -best_v)
+            diagnostics = (
+                f"no valid branch in |m|_inf <= {m_max} ({C} complex pairs); "
+                f"best lambda_min = {best_v:.6e} at m = {best}"
+            )
     return MarkovReport(
-        verdict=Verdict.NOT_MARKOVIAN,
+        verdict=verdict,
         dimension=d,
-        witness_branch=None,
+        witness_branch=witness,
         best_branch=best,
         max_min_eigenvalue=best_v,
         mu_min=mu,
-        measure=math.exp(mu * (1 - d * d)),
+        measure=math.exp(mu * (1 - d * d)),  # exactly 1 at mu = 0 and 0 at mu = inf
         m_max=m_max,
-        diagnostics=(
-            f"no valid branch in |m|_inf <= {m_max} ({C} complex pairs); "
-            f"best lambda_min = {best_v:.6e} at m = {best}"
-        ),
+        diagnostics=diagnostics,
     )
 
 
@@ -315,7 +277,8 @@ def mu_min(
     tol: float | None = None,
 ) -> float:
     """Least isotropic noise rate repairing the best branch; 0 for Markovian
-    channels, infinite when no logarithm family exists."""
+    channels, infinite when no logarithm family exists or the spectrum is
+    UNSUPPORTED_SPECTRUM."""
     return markovian_check(T, m_max=m_max, tol=tol).mu_min
 
 
@@ -325,5 +288,6 @@ def markovianity_measure(
     tol: float | None = None,
 ) -> float:
     """M(T) = exp[mu_min (1 - d^2)] in [0, 1]; exactly 1 for Markovian
-    channels and exactly 0 when no Hermiticity-preserving logarithm exists."""
+    channels and exactly 0 when no Hermiticity-preserving logarithm exists or
+    the spectrum is UNSUPPORTED_SPECTRUM."""
     return markovian_check(T, m_max=m_max, tol=tol).measure

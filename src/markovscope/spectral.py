@@ -234,10 +234,28 @@ def principal_log(S: SpectralData) -> GeneratorMatrix:
     return GeneratorMatrix(L, OperatorBasis.matrix_units(S.dimension))
 
 
-def branch_shift(S: SpectralData, c: int) -> np.ndarray:
-    """The generator offset of one winding of pair c: 2 pi i (P_c - F conj(P_c) F)."""
-    cp, cm = S.pairs[c]
-    return 2j * np.pi * (S.clusters[cp].projector - S.clusters[cm].projector)
+def branch_shifts(S: SpectralData) -> np.ndarray:
+    """The generator offsets of one winding of each pair, 2 pi i (P_c - F conj(P_c) F),
+    as one (C, d^2, d^2) stack in pair order."""
+    n = S.dimension * S.dimension
+    P = np.array([S.clusters[cp].projector - S.clusters[cm].projector for cp, cm in S.pairs])
+    return 2j * np.pi * P.reshape(S.num_complex_pairs, n, n)
+
+
+def branch_sum(base: np.ndarray, terms: np.ndarray, ms) -> np.ndarray:
+    """base + sum_c m_c terms[c] for every row m of ms (integer winding
+    numbers, one column per pair), as one stack of shape (len(ms), *base.shape).
+
+    The terms are added in pair order and a term with m_c = 0 is skipped
+    (adding 0 * term can flip the sign of a zero), so a branch has the same
+    value whichever stack it is summed in.
+    """
+    ms = np.asarray(ms)
+    out = np.repeat(base[None], len(ms), axis=0)
+    for c, term in enumerate(terms):
+        mc = ms[:, c, None, None]
+        np.add(out, mc * term, out=out, where=mc != 0)
+    return out
 
 
 def branch_log(S: SpectralData, m: tuple[int, ...]) -> GeneratorMatrix:
@@ -251,10 +269,8 @@ def branch_log(S: SpectralData, m: tuple[int, ...]) -> GeneratorMatrix:
             f"branch index has length {len(m)} but the spectrum has "
             f"{S.num_complex_pairs} complex pairs"
         )
-    L = principal_log(S).entries.copy()
-    for c, mc in enumerate(m):
-        if mc:
-            L = L + mc * branch_shift(S, c)
+    # as floats, a winding beyond the int64 range still sums (to a huge L)
+    L = branch_sum(principal_log(S).entries, branch_shifts(S), np.array([m], dtype=float))[0]
     return GeneratorMatrix(L, OperatorBasis.matrix_units(S.dimension))
 
 

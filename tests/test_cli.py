@@ -344,6 +344,21 @@ def test_exit_numerical(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("b", [0.05, 0.1, 0.2])
+def test_defective_spectrum_is_a_verdict_but_has_no_power(b, tmp_path, capsys):
+    # a CP qubit channel with a Jordan block at the eigenvalue 0.5
+    path = tmp_path / "jordan.json"
+    E = np.array([[1, 0, 0, 0], [0, 0.5, b, 0], [0, 0, 0.5, 0], [0, 0, 0, 0.3]])
+    save_channel(ChannelMatrix(E, OperatorBasis.pauli()), str(path))
+    for command in ("check", "measure"):
+        code, out, err = run_cli(capsys, [command, str(path), "--json"])
+        assert code == 0 and err == ""
+        assert json.loads(out)["verdict"] == "UNSUPPORTED_SPECTRUM"
+    code, out, err = run_cli(capsys, ["power", str(path), "--s", "0.5"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
 def test_exit_not_a_channel(tmp_path, capsys):
     path = tmp_path / "double.json"
     T = ChannelMatrix(2.0 * np.eye(4), OperatorBasis.matrix_units(2))
@@ -453,17 +468,48 @@ def test_tol_env_var_must_be_finite_positive(value, capsys, monkeypatch):
     assert err.startswith("error: MARKOVSCOPE_TOL must be a finite positive number")
 
 
-def test_module_entry_point():
-    # the child finds the package that this test imported, installed or not
+def child_env():
+    """The environment of a child process that finds the package this test
+    imported, installed or not."""
     src = os.path.dirname(os.path.dirname(markovscope.__file__))
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "markovscope.cli", "check", "--model", "dephasing", "--json"],
         capture_output=True,
         text=True,
         timeout=120,
-        env=env,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "MARKOVIAN"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["power", "--model", "dephasing", "--s", "0.5"],
+        ["check", "--model", "dephasing", "--json"],
+        ["scan", "--model", "figure2a", "--start", "0", "--stop", "1", "--step", "0.1"],
+        ["sample", "--n", "5"],
+    ],
+)
+def test_closed_stdout_ends_quietly(argv):
+    # at the parent, each of these exited 1 with "error: [Errno 32] Broken pipe"
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "markovscope.cli", *argv],
+            stdout=w,
+            stderr=subprocess.PIPE,
+            timeout=120,
+            env=child_env(),
+        )
+    finally:
+        os.close(w)
+    assert proc.returncode == 0
+    assert proc.stderr == b""

@@ -10,7 +10,6 @@ from markovscope import decision
 from markovscope.bases import omega_vector
 from markovscope.channels import ChannelMatrix, OperatorBasis, as_matrix_units, mix, verify_channel
 from markovscope.decision import (
-    AMatrices,
     Verdict,
     branch_candidates,
     branch_search,
@@ -21,7 +20,7 @@ from markovscope.decision import (
 )
 from markovscope.errors import MarkovscopeError, NotAChannel, RangeError
 from markovscope.lindblad import GeneratorMatrix, _assemble, trace_basis
-from markovscope.spectral import eigendecompose
+from markovscope.spectral import branch_sum, eigendecompose
 from markovscope.zoo import (
     dephasing_channel,
     figure2a_mixture,
@@ -31,6 +30,7 @@ from markovscope.zoo import (
     transpose_approximation,
 )
 from markovscope.lindblad import evolve
+from markovscope.qubit import td_markovian_check
 
 FROZEN_MU_HALF_MIX = 0.40126269753636545
 FROZEN_MEASURE_HALF_MIX = 0.3000554186331298
@@ -44,36 +44,35 @@ def test_branch_candidates_shell_order():
     assert seq2[1:] == [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
 
 
-def test_a_matrices_at():
+def test_branch_sum():
     A0 = np.diag([1.0, 2.0])
     A1 = np.diag([0.5, -0.5])
-    A = AMatrices(dimension=2, A0=A0, Ac=(A1,))
-    assert np.abs(A.at((3,)) - (A0 + 3 * A1)).max() == 0.0
+    assert np.abs(branch_sum(A0, np.array([A1]), [(3,)])[0] - (A0 + 3 * A1)).max() == 0.0
 
 
 def test_branch_search_piecewise_linear_toy():
     # f(m) = min(-1 + m, -m): the integers 0 and 1 tie at -1, and the first
     # maximum in shell order wins
-    A = AMatrices(dimension=2, A0=np.diag([-1.0, 0.0]), Ac=(np.diag([1.0, -1.0]),))
+    A = np.array([np.diag([-1.0, 0.0]), np.diag([1.0, -1.0])])
     assert branch_search(A, m_max=2, tol=1e-9) == ((0,), -1.0, None)
 
 
 def test_branch_search_flat_direction():
-    A = AMatrices(dimension=2, A0=np.diag([-2.0, 1.0]), Ac=(np.zeros((2, 2)),))
+    A = np.array([np.diag([-2.0, 1.0]), np.zeros((2, 2))])
     assert branch_search(A, m_max=2, tol=1e-9) == ((0,), -2.0, None)
 
 
 def test_branch_search_witness_precedes_best():
     # f(m) = min(-0.5 + m, 5 - m): m = 1 is the first feasible branch in
     # shell order, m = 2 the best one
-    A = AMatrices(dimension=2, A0=np.diag([-0.5, 5.0]), Ac=(np.diag([1.0, -1.0]),))
+    A = np.array([np.diag([-0.5, 5.0]), np.diag([1.0, -1.0])])
     assert branch_search(A, m_max=2, tol=1e-9) == ((2,), 1.5, (1,))
 
 
 def _scalar_branch_search(A, m_max, tol):
     best_m, best_v, witness = None, -np.inf, None
-    for m in branch_candidates(A.num_pairs, m_max):
-        v = float(np.linalg.eigvalsh(A.at(m)).min())
+    for m in branch_candidates(len(A) - 1, m_max):
+        v = float(np.linalg.eigvalsh(branch_sum(A[0], A[1:], [m])[0]).min())
         if v > best_v:
             best_m, best_v = m, v
         if witness is None and v >= -tol:
@@ -104,7 +103,7 @@ def test_branch_search_matches_scalar_enumeration(T, block):
         A = build_a_matrices(eigendecompose(T))
     except MarkovscopeError:
         assume(False)
-    tol = 1e-7 * (1.0 + float(np.linalg.norm(A.A0, 2)))
+    tol = 1e-7 * (1.0 + float(np.linalg.norm(A[0], 2)))
     with mock.patch.object(decision, "SEARCH_BLOCK", block):
         assert branch_search(A, 2, tol) == _scalar_branch_search(A, 2, tol)
 
@@ -142,15 +141,15 @@ def test_pruned_search_matches_scalar_enumeration_on_hermitian_matrices(
         else:
             B = Ac[rng.integers(len(Ac))]
             Ac.append(B if kind == "duplicate" else -B)
-    A = AMatrices(dimension=n, A0=A0, Ac=tuple(Ac))
+    A = np.array([A0, *Ac])
     with mock.patch.object(decision, "SEARCH_BLOCK", block):
         assert branch_search(A, m_max, tol) == _scalar_branch_search(A, m_max, tol)
 
 
 def test_pruned_search_skips_most_of_a_seven_pair_box():
     A = build_a_matrices(eigendecompose(evolve(random_lindblad(4, 2), 1.0)))
-    assert A.num_pairs == 7  # 5^7 = 78,125 branches at m_max = 2
-    tol = 1e-7 * (1.0 + float(np.linalg.norm(A.A0, 2)))
+    assert len(A) - 1 == 7  # 5^7 = 78,125 branches at m_max = 2
+    tol = 1e-7 * (1.0 + float(np.linalg.norm(A[0], 2)))
     evaluated = 0
     eigvalsh = np.linalg.eigvalsh
 
@@ -230,6 +229,27 @@ def test_budget_guard_reports_unsupported():
     assert r.verdict is Verdict.UNSUPPORTED_SPECTRUM
 
 
+def jordan_channel(b):
+    """A CP qubit channel whose Pauli-basis transfer matrix has a Jordan
+    block at the eigenvalue 0.5."""
+    E = np.array([[1, 0, 0, 0], [0, 0.5, b, 0], [0, 0, 0.5, 0], [0, 0, 0, 0.3]])
+    return ChannelMatrix(E, OperatorBasis.pauli())
+
+
+@pytest.mark.parametrize("b", [0.05, 0.1, 0.2])
+def test_defective_spectrum_is_unsupported_with_its_reason(b):
+    # at the parent, b = 0.05 and 0.1 raised DefectiveMatrix out of the check
+    T = jordan_channel(b)
+    assert verify_channel(T).is_channel
+    with pytest.raises(MarkovscopeError) as exc:
+        eigendecompose(T)
+    r = markovian_check(T)
+    assert r.verdict is Verdict.UNSUPPORTED_SPECTRUM
+    assert r.diagnostics == str(exc.value)
+    assert r.witness_branch is None and r.best_branch is None
+    assert np.isinf(r.mu_min) and r.measure == 0.0
+
+
 def test_not_a_channel_rejected():
     T = ChannelMatrix(2.0 * np.eye(4), OperatorBasis.matrix_units(2))
     with pytest.raises(NotAChannel):
@@ -262,6 +282,26 @@ def test_tolerance_knob_can_flip_a_verdict():
     assert markovian_check(T, tol=0.25).verdict is Verdict.MARKOVIAN
 
 
+# exp(tL) for a qubit generator of spectral norm scale, with t * scale <= 8
+_qubit_semigroup = st.builds(
+    lambda seed, scale, ts: evolve(random_lindblad(2, seed, scale), ts / scale),
+    _seeds,
+    st.floats(0.05, 5.0),
+    st.floats(0.0, 8.0),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(T=_qubit_semigroup, seed=_seeds, theta=st.floats(0.0, np.pi))
+def test_qubit_semigroups_are_markovian_and_markovian_implies_td_markovian(T, seed, theta):
+    r = markovian_check(T)
+    assert r.verdict is Verdict.MARKOVIAN
+    assert r.mu_min <= 1e-6
+    for X in (T, mix(T, random_channel(2, seed), 0.5), mix(T, rabi_unitary(theta), 0.5)):
+        if markovian_check(X).verdict is Verdict.MARKOVIAN:
+            assert td_markovian_check(X).td_markovian
+
+
 def test_semigroup_elements_are_markovian():
     rng = np.random.default_rng(6)
     for k in range(10):
@@ -284,10 +324,9 @@ def test_measure_bounds_on_random_channels():
 def test_build_a_matrices_shapes():
     T = figure2a_mixture(0.5)
     A = build_a_matrices(eigendecompose(T))
-    assert A.A0.shape == (3, 3)
-    assert len(A.Ac) == 1
-    assert np.abs(A.A0 - A.A0.conj().T).max() < 1e-12
-    assert np.abs(A.Ac[0] - A.Ac[0].conj().T).max() < 1e-12
+    assert A.shape == (2, 3, 3)
+    assert not A.flags.writeable
+    assert np.abs(A - A.conj().swapaxes(1, 2)).max() < 1e-12
 
 
 def test_check_tolerance_setting_reaches_channel_validation(monkeypatch):

@@ -24,7 +24,7 @@ from markovscope.spectral import (
     ClusterKind,
     SpectralData,
     branch_log,
-    branch_shift,
+    branch_shifts,
     eigendecompose,
     fractional_power,
     principal_log,
@@ -127,7 +127,7 @@ def test_branch_logs_reconstruct_for_all_small_windings():
 
 def test_branch_shift_is_traceless_and_hermiticity_compatible():
     S = eigendecompose(figure2a_mixture(0.5))
-    D = branch_shift(S, 0)
+    (D,) = branch_shifts(S)
     assert abs(np.trace(D)) < 1e-12
     F = flip_operator(2)
     # F conj(D) F = -conj(2 pi i (P+ - P-)) flipped = D again
