@@ -1,11 +1,12 @@
-"""Fixed linear-algebra furniture: Pauli matrices, the flip operator, the
-maximally entangled vector, and the isometry onto its orthocomplement.
+"""Fixed linear-algebra furniture: Pauli and Gell-Mann bases, the flip operator,
+the maximally entangled vector, and the isometry onto its orthocomplement.
 
 Vectorization is row-major throughout: vec(rho)[i*d + j] = rho[i, j], so the
 matrix-unit basis element at position i*d + j is |i><j|.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
@@ -14,7 +15,6 @@ import numpy as np
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULIS = (np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -64,16 +64,21 @@ def omega_vector(d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def pauli_transform() -> np.ndarray:
-    """Unitary U taking matrix-unit coordinates to normalized-Pauli ones.
-
-    Row alpha is the conjugated, vectorized basis element F_alpha = P_alpha /
-    sqrt(2), so that T_pauli = U T_mu U^dag.  With this convention a
-    Hermiticity-preserving qubit map has a real Pauli-basis matrix.
-    """
-    U = np.zeros((4, 4), dtype=complex)
-    for a, P in enumerate(PAULIS):
-        U[a, :] = (P / np.sqrt(2)).conj().reshape(-1)
+def hermitian_transform(d: int) -> np.ndarray:
+    """Unitary U with T_herm = U T_mu U^dag, in which a map preserves
+    Hermiticity exactly when its matrix is real.  Row alpha is the conjugated,
+    vectorized, normalized element of a Hermitian basis: the identity, then
+    for each j < k the Gell-Mann matrices |j><k| + |k><j| and -i|j><k| +
+    i|k><j|, then sum_{j<l} |j><j| - l |l><l|.  At d = 2: the Paulis."""
+    elements = [np.eye(d, dtype=complex)]
+    for j, k in itertools.combinations(range(d), 2):
+        for a, b in ((1, 1), (-1j, 1j)):
+            G = np.zeros((d, d), dtype=complex)
+            G[j, k], G[k, j] = a, b
+            elements.append(G)
+    for l in range(1, d):
+        elements.append(np.diag([1.0] * l + [-l] + [0.0] * (d - l - 1)).astype(complex))
+    U = np.array([(G / np.sqrt(np.vdot(G, G).real)).conj().reshape(-1) for G in elements])
     U.setflags(write=False)
     return U
 

@@ -28,7 +28,7 @@ Hermiticity preservation reads F T-hat F = conj(T-hat) in the matrix-unit
 basis, with F the flip permutation F|a,b> = |b,a>.  In the normalized Pauli
 basis (elements {1, sigma_x, sigma_y, sigma_z}/sqrt(2), d = 2 only) the same
 condition is simply that the matrix is real.  The basis change is conjugation
-by the unitary U with row alpha equal to conj(vec(P_alpha/sqrt(2))), i.e.
+by U = hermitian_transform(2), with row alpha conj(vec(P_alpha/sqrt(2))), i.e.
 T_pauli = U T_mu U^dag; the round trip is exact up to rounding.
 """
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bases import flip_conjugate, omega_vector, pauli_transform, readonly, sup_norm, unvec, vec
+from .bases import flip_conjugate, hermitian_transform, omega_vector, readonly, sup_norm, unvec, vec
 from .config import check_tolerance
 from .errors import (
     DimensionMismatch,
@@ -91,9 +91,7 @@ class OperatorBasis:
                     E[i, j] = 1.0
                     out.append(E)
             return tuple(out)
-        from .bases import PAULIS
-
-        return tuple(P / np.sqrt(2) for P in PAULIS)
+        return tuple(row.conj().reshape(d, d) for row in hermitian_transform(d))
 
 
 def _square_side(M: np.ndarray) -> int:
@@ -305,7 +303,7 @@ def change_basis(T: ChannelMatrix, target: OperatorBasis) -> ChannelMatrix:
         raise DimensionMismatch("target basis has a different dimension")
     if target.tag is T.basis.tag:
         return ChannelMatrix(T.entries, target)
-    U = pauli_transform()
+    U = hermitian_transform(T.d)
     if target.tag is BasisTag.PAULI_NORMALIZED:
         return ChannelMatrix(U @ T.entries @ U.conj().T, target)
     return ChannelMatrix(U.conj().T @ T.entries @ U, target)

@@ -19,7 +19,7 @@ from .errors import ParseError
 CHECK_TOL = 1e-9
 # eigenvalue clustering threshold, relative to ||T||
 CLUSTER_TOL = 1e-8
-# projector idempotency / pairing consistency
+# projector idempotency
 PROJECTOR_TOL = 1e-8
 # exp(log T) and spectral reconstruction bound, relative
 RECONSTRUCTION_TOL = 1e-7
@@ -40,6 +40,8 @@ KAPPA_SLACK = 1e3
 # m_max sum_c ||A_c||_F): covers the rounding of eigvalsh, of the sum A(m)
 # and of the cut itself
 CUT_SLACK = 64
+# rounding floor of the zero test, in units of eps * cond(V) * max(1, ||T||_2)
+ZERO_SLACK = 64
 # jump rates at or below this are dropped from a jump decomposition
 JUMP_RATE_CUTOFF = 1e-12
 

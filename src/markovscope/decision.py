@@ -41,7 +41,7 @@ from .errors import (
     NotAChannel,
     RangeError,
     SingularChannel,
-    UnpairedComplexEigenvalue,
+    UnresolvedEigenvalue,
 )
 from .lindblad import ccp_block
 from .spectral import SpectralData, branch_shifts, branch_sum, eigendecompose, principal_log
@@ -193,7 +193,7 @@ def branch_search(
 # message is the report's diagnostics.  A new reason to refuse a spectrum is
 # one row here.
 _PRE_SEARCH_VERDICTS = {
-    UnpairedComplexEigenvalue: Verdict.UNSUPPORTED_SPECTRUM,
+    UnresolvedEigenvalue: Verdict.UNSUPPORTED_SPECTRUM,
     DefectiveMatrix: Verdict.UNSUPPORTED_SPECTRUM,
     RangeError: Verdict.UNSUPPORTED_SPECTRUM,  # the box exceeds MAX_BRANCH_CANDIDATES
     SingularChannel: Verdict.SINGULAR,

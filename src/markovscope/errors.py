@@ -64,8 +64,8 @@ class DefectiveMatrix(MarkovscopeError):
     """Geometric multiplicity below algebraic: no clean spectral projectors."""
 
 
-class UnpairedComplexEigenvalue(MarkovscopeError):
-    """Complex eigenvalue without a matching conjugate partner."""
+class UnresolvedEigenvalue(MarkovscopeError):
+    """Eigenvalue within the clustering threshold of zero, above its rounding floor."""
 
 
 class StepFailure(MarkovscopeError):

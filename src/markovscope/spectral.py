@@ -1,13 +1,14 @@
 """Eigenstructure of transfer matrices and the logarithm branches compatible
 with Hermiticity preservation.
 
-A Hermiticity-preserving map has a spectrum closed under complex conjugation.
-After clustering numerically coincident eigenvalues, each cluster carries a
-spectral projector P = V_k W_k (right-eigenvector block times the matching
-rows of the inverse), and the cluster of the conjugate value carries
-F conj(P) F, with F the flip permutation.  The logarithms of the map that
-are themselves Hermiticity-preserving form a discrete family indexed by one
-integer per complex-conjugate eigenvalue pair,
+A Hermiticity-preserving map is a real matrix in a Hermitian operator basis,
+so its spectrum is closed under complex conjugation, exactly so in a real
+eig.  After clustering numerically coincident eigenvalues, each cluster
+carries a spectral projector P = V_k W_k (right-eigenvector block times the
+matching rows of the inverse), and the cluster of the conjugate value
+carries F conj(P) F, with F the flip permutation.  The logarithms of the
+map that are themselves Hermiticity-preserving form a discrete family
+indexed by one integer per complex-conjugate eigenvalue pair,
 
     L_m = L_0 + 2 pi i sum_c m_c (P_c - F conj(P_c) F),
 
@@ -18,13 +19,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 from scipy.linalg import expm
 
-from .bases import flip_conjugate, readonly, sup_norm
+from .bases import flip_conjugate, hermitian_transform, readonly, sup_norm
 from .channels import (
     ChannelMatrix,
     OperatorBasis,
@@ -38,6 +39,7 @@ from .config import (
     CONDITION_LIMIT,
     PROJECTOR_TOL,
     RECONSTRUCTION_TOL,
+    ZERO_SLACK,
     check_tolerance,
 )
 from .errors import (
@@ -46,7 +48,7 @@ from .errors import (
     NegativeRealEigenvalue,
     RangeError,
     SingularChannel,
-    UnpairedComplexEigenvalue,
+    UnresolvedEigenvalue,
 )
 from .lindblad import GeneratorMatrix
 
@@ -115,88 +117,73 @@ def _cluster_indices(vals: np.ndarray, tol: float) -> list[tuple[complex, np.nda
 def eigendecompose(T: ChannelMatrix) -> SpectralData:
     """Cluster the spectrum of T and build the spectral projectors.
 
-    After the Hermiticity gate, the matrix decomposed is the flip-symmetric
-    part (M + F conj(M) F) / 2 of the matrix-unit transfer matrix M, so a
-    Hermiticity defect that the check tolerance (MARKOVSCOPE_TOL) admits is
-    projected out instead of breaking the pairing below.
+    After the Hermiticity gate, the matrix decomposed is R = Re(U M U^dag),
+    the matrix-unit transfer matrix M in the Hermitian basis of
+    bases.hermitian_transform; the real part drops the Hermiticity defect
+    that the check tolerance (MARKOVSCOPE_TOL) admits.  The real eig of R
+    lists each complex eigenvalue and eigenvector right before its exact
+    conjugate, so the clusters (eigenvalues closer than CLUSTER_TOL times
+    the matrix norm merged) are closed under conjugation.  A cluster is real
+    exactly when it is its own conjugate, and its projector is its
+    flip-symmetric part (P + F conj(P) F) / 2.  A cluster in the lower half
+    plane is the conjugate of an upper one listed before it, and its
+    projector is F conj(P) F of that one's, so every later branch
+    construction is Hermiticity-preserving.
 
-    Eigenvalues closer than CLUSTER_TOL times the matrix norm are merged into
-    one cluster.  One flip-conjugation rule then pairs and pins every
-    cluster.  A cluster's partner is the cluster nearest its conjugate value
-    (itself when it is real).  The partner must lie within the clustering
-    threshold, be mutual, and have the same multiplicity.  The pin is a real
-    cluster's flip-symmetric part, (P + F conj(P) F) / 2, and, for the lower
-    member of a conjugate pair, F conj(P) F of the upper member with the
-    conjugate value; it may move no projector by more than PROJECTOR_TOL.
-    A failure raises UnpairedComplexEigenvalue.  The pin keeps every later
-    branch construction Hermiticity-preserving to rounding.
+    A cluster at or below the rounding floor ZERO_SLACK eps cond(V) scale,
+    with scale = max(1, ||R||_2), is ZERO; one above the floor but within
+    the clustering threshold of zero raises UnresolvedEigenvalue.
     """
     require_hermiticity_preserving(T, "spectral analysis needs a Hermiticity-preserving map")
-    Tmu = as_matrix_units(T)
-    M = (Tmu.entries + flip_conjugate(Tmu.entries)) / 2
-    d = Tmu.d
-    scale = max(1.0, float(np.linalg.norm(M, 2)))
+    d = T.d
+    U = hermitian_transform(d)
+    R = (U @ as_matrix_units(T).entries @ U.conj().T).real
+    scale = max(1.0, float(np.linalg.norm(R, 2)))
     ctol = CLUSTER_TOL * scale
 
-    vals, V = np.linalg.eig(M)
+    vals, V = np.linalg.eig(R)
     cond = np.linalg.cond(V)
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise DefectiveMatrix(
             f"eigenbasis condition number {cond:.3e} exceeds {CONDITION_LIMIT:.1e}; "
             "the matrix is defective or too close to it"
         )
+    V = U.conj().T @ V  # eigenvectors in matrix-unit coordinates
     W = np.linalg.inv(V)
+    floor = ZERO_SLACK * np.finfo(float).eps * cond * scale
 
-    raw: list[tuple[complex, int, np.ndarray, ClusterKind]] = []
+    clusters, pairs, owner = [], [], {}  # owner: eigenvalue index -> its cluster
     for value, idx in _cluster_indices(vals, ctol):
+        owner.update(dict.fromkeys(idx.tolist(), len(clusters)))
+        if floor < abs(value) <= ctol:
+            raise UnresolvedEigenvalue(
+                f"eigenvalue {value:.6g} lies within the clustering threshold {ctol:.3e} "
+                f"of zero but above its rounding floor {floor:.3e}"
+            )
+        if abs(value) > floor and (vals[idx].imag < 0).all():
+            upper = owner[idx[0] - 1]  # eig lists each conjugate right after its upper member
+            pairs.append((upper, len(clusters)))
+            P = flip_conjugate(clusters[upper].projector)
+            clusters.append(replace(clusters[upper], value=value, projector=P))
+            continue
         P = V[:, idx] @ W[idx, :]
         if sup_norm(P @ P - P) > PROJECTOR_TOL * max(1.0, sup_norm(P)):
             raise DefectiveMatrix(
                 "a cluster projector is not idempotent; eigenvalue clustering "
                 "merged a defective block"
             )
-        if abs(value) <= ctol:
+        if abs(value) <= floor:
             kind = ClusterKind.ZERO
             value = 0.0 + 0.0j
-        elif abs(value.imag) <= ctol:
+        elif (vals[idx].imag > 0).all():
+            kind = ClusterKind.COMPLEX_PAIR_MEMBER
+        else:  # its own conjugate
+            P = (P + flip_conjugate(P)) / 2
             value = complex(value.real)
             kind = ClusterKind.REAL_POSITIVE if value.real > 0 else ClusterKind.REAL_NEGATIVE
-        else:
-            kind = ClusterKind.COMPLEX_PAIR_MEMBER
-        raw.append((value, len(idx), P, kind))
+        clusters.append(Cluster(value=value, multiplicity=len(idx), projector=P, kind=kind))
 
-    values, mults, projectors, kinds = zip(*raw)
-    v = np.array(values)
-    gap = np.abs(v[None, :] - v.conj()[:, None])  # gap[k, j] = |v_j - conj(v_k)|
-    partner = gap.argmin(axis=1).tolist()
-    clusters: list[Cluster] = [None] * len(raw)
-    pairs = []
-    # real clusters first, then upper members: a failing pair is reported at
-    # its upper member, and pairs are listed in the order of their upper ones
-    for k in sorted(range(len(raw)), key=lambda k: (values[k].imag < 0, values[k].imag > 0)):
-        value, P, j = values[k], projectors[k], partner[k]
-        if gap[k, j] > ctol or partner[j] != k:
-            raise UnpairedComplexEigenvalue(
-                f"no conjugate partner within tolerance for eigenvalue {value:.6g}"
-            )
-        if value.imag <= 0:  # an upper member keeps its projector
-            pinned = flip_conjugate(projectors[j])
-            if j == k:
-                pinned = (P + pinned) / 2
-            if sup_norm(pinned - P) > PROJECTOR_TOL * max(1.0, sup_norm(projectors[j])):
-                raise UnpairedComplexEigenvalue(
-                    "a real-eigenvalue projector is not flip-conjugation symmetric" if j == k
-                    else "conjugate-pair projectors are inconsistent with flip conjugation"
-                )
-            P = pinned
-        if mults[j] != mults[k]:
-            raise UnpairedComplexEigenvalue("conjugate clusters have different multiplicities")
-        if value.imag > 0:
-            pairs.append((k, j))
-        elif value.imag < 0:
-            value = complex(np.conj(values[j]))
-        clusters[k] = Cluster(value=value, multiplicity=mults[k], projector=P, kind=kinds[k])
-
+    M = U.conj().T @ R @ U
     data = SpectralData(dimension=d, clusters=tuple(clusters), pairs=tuple(pairs), entries=M)
     resid = sup_norm(data.reconstruct() - M)
     if resid > RECONSTRUCTION_TOL * scale:
@@ -269,8 +256,11 @@ def branch_log(S: SpectralData, m: tuple[int, ...]) -> GeneratorMatrix:
             f"branch index has length {len(m)} but the spectrum has "
             f"{S.num_complex_pairs} complex pairs"
         )
-    # as floats, a winding beyond the int64 range still sums (to a huge L)
-    L = branch_sum(principal_log(S).entries, branch_shifts(S), np.array([m], dtype=float))[0]
+    try:  # as floats, a winding beyond the int64 range still sums (to a huge L)
+        ms = np.array([m], dtype=float)
+    except OverflowError as exc:
+        raise RangeError("a winding number is beyond the float range") from exc
+    L = branch_sum(principal_log(S).entries, branch_shifts(S), ms)[0]
     return GeneratorMatrix(L, OperatorBasis.matrix_units(S.dimension))
 
 

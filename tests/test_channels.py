@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from markovscope.bases import flip_operator, omega_vector, unvec, vec
+from markovscope.bases import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    flip_operator,
+    hermitian_transform,
+    omega_vector,
+    unvec,
+    vec,
+)
 from markovscope.channels import (
     BasisTag,
     ChannelMatrix,
@@ -175,6 +184,27 @@ def test_change_basis_round_trip():
 def test_pauli_entries_real_iff_hermiticity_preserving():
     T = change_basis(random_channel(2, 21), OperatorBasis.pauli())
     assert np.abs(T.entries.imag).max() < 1e-13
+
+
+def test_hermitian_transform_is_the_pauli_change_at_d2():
+    paulis = (np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z)
+    U = np.array([(P / np.sqrt(2)).conj().reshape(-1) for P in paulis])
+    assert hermitian_transform(2).tobytes() == U.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_hermitian_transform_is_a_unitary_onto_a_hermitian_basis(d):
+    U = hermitian_transform(d)
+    assert np.abs(U @ U.conj().T - np.eye(d * d)).max() < 1e-15
+    for row in U:
+        G = row.conj().reshape(d, d)
+        assert np.array_equal(G, G.conj().T)
+    # a Hermiticity-preserving map is real in this basis, and one that is not
+    # preserving is not
+    T = as_matrix_units(random_channel(d, 5)).entries
+    assert np.abs((U @ T @ U.conj().T).imag).max() < 1e-14
+    T = T + 1e-3j * np.eye(d * d)
+    assert np.abs((U @ T @ U.conj().T).imag).max() > 1e-4
 
 
 def test_kraus_choi_round_trip():

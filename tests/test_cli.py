@@ -381,6 +381,8 @@ def test_exit_not_a_channel(tmp_path, capsys):
         ["check", "--model", "figure2a", "--m-max", "-1"],
         ["power", "--model", "dephasing", "--s", "nan"],
         ["check", "FILE", "--model", "figure2a"],
+        # a winding number beyond the float range
+        ["power", "--model", "rabi", "--param", "theta=0.3", "--s", "0.5", "--branch", "1" + "0" * 400],
     ],
 )
 def test_invalid_inputs_exit_1(argv, tmp_path, capsys):
@@ -405,7 +407,7 @@ EXIT_CODES = {
     "BranchLengthMismatch": 1,
     "ParseError": 1,
     "DefectiveMatrix": 2,
-    "UnpairedComplexEigenvalue": 2,
+    "UnresolvedEigenvalue": 2,
     "StepFailure": 2,
     "NonRealDeterminant": 2,
     "ComplexLorentzSpectrum": 2,

@@ -18,12 +18,14 @@ from markovscope.decision import (
     markovianity_measure,
     mu_min,
 )
-from markovscope.errors import MarkovscopeError, NotAChannel, RangeError
+from markovscope.errors import MarkovscopeError, NotAChannel, RangeError, UnresolvedEigenvalue
 from markovscope.lindblad import GeneratorMatrix, _assemble, trace_basis
 from markovscope.spectral import branch_sum, eigendecompose
 from markovscope.zoo import (
+    JCParams,
     dephasing_channel,
     figure2a_mixture,
+    jc_channel,
     rabi_unitary,
     random_channel,
     random_lindblad,
@@ -282,12 +284,13 @@ def test_tolerance_knob_can_flip_a_verdict():
     assert markovian_check(T, tol=0.25).verdict is Verdict.MARKOVIAN
 
 
-# exp(tL) for a qubit generator of spectral norm scale, with t * scale <= 8
+# exp(tL) for a qubit generator of spectral norm scale, with t * scale <= 18,
+# where the smallest eigenvalues come within a few 1e-8 of zero
 _qubit_semigroup = st.builds(
     lambda seed, scale, ts: evolve(random_lindblad(2, seed, scale), ts / scale),
     _seeds,
     st.floats(0.05, 5.0),
-    st.floats(0.0, 8.0),
+    st.floats(0.0, 18.0),
 )
 
 
@@ -300,6 +303,53 @@ def test_qubit_semigroups_are_markovian_and_markovian_implies_td_markovian(T, se
     for X in (T, mix(T, random_channel(2, seed), 0.5), mix(T, rabi_unitary(theta), 0.5)):
         if markovian_check(X).verdict is Verdict.MARKOVIAN:
             assert td_markovian_check(X).td_markovian
+
+
+# (seed, scale, t * scale) of the 18 of 3,000 qubit exp(tL) draws from
+# default_rng(11), taken as seed = integers(0, 2**31 - 1), scale =
+# uniform(0.05, 5) and t * scale = uniform(0, 18), whose eigenvalues near zero
+# defeat a conjugate pairing that is matched within a tolerance
+_PAIRING_FAILURES = [
+    (71027349, 2.371095408941299, 16.310418100120092),
+    (1966758266, 3.9162213758217934, 16.69504674808229),
+    (730321315, 0.8085546258525617, 15.77621894806279),
+    (1444153727, 3.3939961990353473, 17.34326423565497),
+    (2083098438, 3.095707407105444, 16.46046370971188),
+    (684934369, 2.396529970860321, 16.963204937301533),
+    (1303022046, 1.9487283444790626, 17.28594612544142),
+    (1747915571, 1.7196146790320825, 17.39450626851022),
+    (632878482, 0.8958545708466512, 17.214458625432243),
+    (2064750226, 1.1229412609046203, 17.013177415730894),
+    (1910687418, 4.364203417612111, 17.514032270036488),
+    (1850553481, 0.1710542468214668, 16.974055696361905),
+    (2043951778, 0.9518713931804609, 17.511243426216428),
+    (694166130, 1.4852573661043542, 17.58059435143729),
+    (1671165514, 1.8460802347668814, 17.048491013163844),
+    (1192003294, 2.0957107937820747, 17.85580745185368),
+    (1120055061, 2.275465339745855, 17.574925529072587),
+    (41286062, 4.142847616778715, 17.96907443071022),
+]
+
+
+@pytest.mark.parametrize("seed,scale,ts", _PAIRING_FAILURES)
+def test_semigroups_with_tiny_eigenvalues_are_markovian(seed, scale, ts):
+    r = markovian_check(evolve(random_lindblad(2, seed, scale), ts / scale))
+    assert r.verdict is Verdict.MARKOVIAN
+    assert r.mu_min <= 1e-6
+
+
+@pytest.mark.parametrize("t", [27.2, 27.25])
+def test_eigenvalue_between_rounding_floor_and_threshold_is_unsupported(t):
+    # amplitude damping with det ~ 1e-18: its eigenvalue g^2 ~ 1e-9 lies above
+    # the rounding floor, so it is not zero, but inside the absolute
+    # clustering threshold, so it is not resolved either
+    T = jc_channel(t, JCParams(0.2, 0.35, 0, 0, 0))
+    with pytest.raises(UnresolvedEigenvalue) as exc:
+        eigendecompose(T)
+    assert all(word in str(exc.value) for word in ("eigenvalue", "threshold", "floor"))
+    r = markovian_check(T)
+    assert r.verdict is Verdict.UNSUPPORTED_SPECTRUM
+    assert r.diagnostics == str(exc.value)
 
 
 def test_semigroup_elements_are_markovian():

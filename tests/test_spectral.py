@@ -248,7 +248,7 @@ def _covariance_inputs(draw):
     seed = draw(_seeds)
     if kind == "random":
         return random_channel(d, seed)
-    if kind == "unitary":  # every pair has modulus 1: the partner map sees ties in modulus
+    if kind == "unitary":  # every pair has modulus 1: clusters tie in modulus
         U = _haar(d, seed)
         return ChannelMatrix(np.kron(U, U.conj()), OperatorBasis.matrix_units(d))
     E = evolve(random_lindblad(d, seed), draw(st.floats(0.1, 4.0)))
