@@ -25,11 +25,11 @@ matrix over the first tensor factor is the identity, and complete positivity
 is positive semidefiniteness of the Choi matrix.
 
 Hermiticity preservation reads F T-hat F = conj(T-hat) in the matrix-unit
-basis, with F the flip permutation F|a,b> = |b,a>.  In the normalized Pauli
-basis (elements {1, sigma_x, sigma_y, sigma_z}/sqrt(2), d = 2 only) the same
-condition is simply that the matrix is real.  The basis change is conjugation
-by U = hermitian_transform(2), with row alpha conj(vec(P_alpha/sqrt(2))), i.e.
-T_pauli = U T_mu U^dag; the round trip is exact up to rounding.
+basis, with F the flip permutation F|a,b> = |b,a>.  In the Hermitian basis of
+U = hermitian_transform(d) (T_herm = U T_mu U^dag; at d = 2 the normalized
+Pauli basis {1, sigma_x, sigma_y, sigma_z}/sqrt(2)) the same condition is
+simply that the matrix is real, and real_form(T) is that real matrix, behind
+the one Hermiticity gate.  Entries must be finite (RangeError otherwise).
 """
 from __future__ import annotations
 
@@ -44,7 +44,6 @@ from .config import check_tolerance
 from .errors import (
     DimensionMismatch,
     InvalidForm,
-    NonRealDeterminant,
     NotAChannel,
     NotASquareOfSquare,
     NotHermiticityPreserving,
@@ -113,6 +112,8 @@ class ChannelMatrix:
 
     def __post_init__(self):
         M = readonly(self.entries)
+        if not np.isfinite(M).all():
+            raise RangeError("a map must have finite entries")
         if _square_side(M) != self.basis.dimension:
             raise DimensionMismatch(
                 f"matrix is {M.shape[0]}x{M.shape[0]} but basis has d = {self.basis.dimension}"
@@ -163,6 +164,8 @@ class DensityMatrix:
 
     def __post_init__(self):
         r = readonly(self.rho)
+        if not np.isfinite(r).all():
+            raise RangeError("a state must have finite entries")
         if r.ndim != 2 or r.shape[0] != r.shape[1]:
             raise DimensionMismatch(f"a state must be square, got shape {r.shape}")
         eps = check_tolerance(sup_norm(r))
@@ -234,13 +237,18 @@ def hermiticity_violation(T: ChannelMatrix) -> float:
     return sup_norm(flip_conjugate(T.entries) - T.entries)
 
 
-def require_hermiticity_preserving(T: ChannelMatrix, what: str) -> None:
-    """Raise NotHermiticityPreserving, with the message what, unless T
-    preserves Hermiticity within the check tolerance scaled to its largest
-    entry."""
+def real_form(T: ChannelMatrix, what: str) -> np.ndarray:
+    """The real matrix of T in the basis of hermitian_transform(d): Re(T)
+    for a Pauli-basis T, Re(U M U^dag) for a matrix-unit one.  Raises
+    NotHermiticityPreserving, with the message what, unless T preserves
+    Hermiticity within the check tolerance scaled to its largest entry."""
     viol = hermiticity_violation(T)
     if not viol <= check_tolerance(sup_norm(T.entries)):
         raise NotHermiticityPreserving(f"{what} (violation {viol:.3e})")
+    if T.basis.tag is BasisTag.PAULI_NORMALIZED:
+        return T.entries.real
+    U = hermitian_transform(T.d)
+    return (U @ T.entries @ U.conj().T).real
 
 
 def trace_violation(M: np.ndarray) -> float:
@@ -310,15 +318,9 @@ def change_basis(T: ChannelMatrix, target: OperatorBasis) -> ChannelMatrix:
 
 
 def determinant(T: ChannelMatrix) -> float:
-    """det(T-hat), basis-independent and real for Hermiticity-preserving maps."""
-    det = complex(np.linalg.det(T.entries))
-    eps = check_tolerance(abs(det))
-    if abs(det.imag) > eps:
-        raise NonRealDeterminant(
-            f"determinant {det} has imaginary part beyond {eps}; "
-            "the map does not preserve Hermiticity"
-        )
-    return det.real
+    """det(T-hat), basis-independent: the determinant of real_form(T), so a
+    map that does not preserve Hermiticity raises NotHermiticityPreserving."""
+    return float(np.linalg.det(real_form(T, "the determinant needs a Hermiticity-preserving map")))
 
 
 def apply_channel(T: ChannelMatrix, rho: np.ndarray | DensityMatrix) -> np.ndarray:

@@ -209,8 +209,10 @@ def sample_fractions(d: int, n: int, seed: int) -> dict:
     Each sample gets its own child seed from one seed sequence, so the result
     depends only on (d, n, seed).
     """
-    if n < 1:
-        raise RangeError(f"need at least one sample, got n = {n}")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise RangeError(f"need an integer number of samples >= 1, got n = {n!r}")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise RangeError(f"seed must be an integer >= 0, got {seed!r}")
     n_mk = n_td = n_mk_not_td = 0
     for s in np.random.SeedSequence(seed).generate_state(n, dtype=np.uint64):
         T = random_channel(d, int(s))

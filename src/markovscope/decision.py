@@ -126,12 +126,6 @@ def _branch_table(C: int, m_max: int) -> np.ndarray:
     return table
 
 
-def branch_candidates(C: int, m_max: int):
-    """All integer vectors with |m|_inf <= m_max, by increasing shell and
-    lexicographically inside each shell.  The zero vector comes first."""
-    return map(tuple, _branch_table(C, m_max).tolist())
-
-
 def branch_search(
     A: np.ndarray, m_max: int, tol: float
 ) -> tuple[tuple[int, ...], float, tuple[int, ...] | None]:

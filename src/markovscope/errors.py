@@ -72,11 +72,6 @@ class StepFailure(MarkovscopeError):
     """Adaptive time-ordered integration could not reach its tolerance."""
 
 
-class NonRealDeterminant(MarkovscopeError):
-    """det(T) has an imaginary residue beyond tolerance; input is not
-    Hermiticity preserving."""
-
-
 class ComplexLorentzSpectrum(MarkovscopeError):
     """Eigenvalues of T g T g are genuinely complex (or negative) while
     det T > 0; the qubit divisibility criterion is undefined there."""

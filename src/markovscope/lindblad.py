@@ -47,7 +47,7 @@ from .channels import (
     as_matrix_units,
     hermiticity_violation,
     involution_gamma,
-    require_hermiticity_preserving,
+    real_form,
 )
 from .config import JUMP_RATE_CUTOFF, KAPPA_SLACK, REBUILD_RESIDUAL_TOL, check_tolerance
 from .errors import InvalidForm, NotAGenerator, RangeError, StepFailure
@@ -182,7 +182,7 @@ def ccp_test(L: GeneratorMatrix) -> CcpReport:
     Hamiltonian and anticommutator terms vanish under the compression, so
     only the CP part of the generator is probed.
     """
-    require_hermiticity_preserving(L, "ccp is only defined for Hermiticity-preserving generators")
+    real_form(L, "ccp is only defined for Hermiticity-preserving generators")  # the gate alone
     A = ccp_block(involution_gamma(as_matrix_units(L).entries))
     A = (A + A.conj().T) / 2
     lam_min = float(np.linalg.eigvalsh(A).min())
@@ -330,10 +330,10 @@ def evolve_time_dependent(
     the instantaneous generator is valid; the step is halved until two
     refinements agree within tol.
     """
-    if dt_max <= 0:
-        raise RangeError(f"dt_max must be positive, got {dt_max}")
-    if t_final < 0:
-        raise RangeError(f"t_final must be nonnegative, got {t_final}")
+    if not 0 < dt_max < math.inf:
+        raise RangeError(f"dt_max must be finite and positive, got {dt_max}")
+    if not 0 <= t_final < math.inf:
+        raise RangeError(f"t_final must be finite and nonnegative, got {t_final}")
     M0, basis = _rate_entries(rates(0.0))
     n_side = M0.shape[0]
     d = int(round(math.sqrt(n_side)))

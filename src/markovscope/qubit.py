@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelMatrix, OperatorBasis, change_basis, require_hermiticity_preserving
+from .channels import ChannelMatrix, real_form
 from .config import LORENTZ_IMAG_TOL
 from .errors import ComplexLorentzSpectrum, NotQubit
 
@@ -57,8 +57,7 @@ def _lorentz(T: ChannelMatrix) -> tuple[LorentzSingularValues, float]:
     """lorentz_singular_values(T) and the rounding level of its det_T."""
     if T.d != 2:
         raise NotQubit(f"the divisibility criterion is for qubits, got d = {T.d}")
-    require_hermiticity_preserving(T, "Lorentz singular values need a Hermiticity-preserving map")
-    M = change_basis(T, OperatorBasis.pauli()).entries.real
+    M = real_form(T, "Lorentz singular values need a Hermiticity-preserving map")
     det_T = float(np.linalg.det(M))
     det_tol = _DET_ROUNDING * float(np.prod(np.linalg.norm(M, axis=0)))
     X = M @ _G_METRIC @ M.T @ _G_METRIC

@@ -1,19 +1,20 @@
 """Eigenstructure of transfer matrices and the logarithm branches compatible
 with Hermiticity preservation.
 
-A Hermiticity-preserving map is a real matrix in a Hermitian operator basis,
-so its spectrum is closed under complex conjugation, exactly so in a real
-eig.  After clustering numerically coincident eigenvalues, each cluster
-carries a spectral projector P = V_k W_k (right-eigenvector block times the
-matching rows of the inverse), and the cluster of the conjugate value
-carries F conj(P) F, with F the flip permutation.  The logarithms of the
-map that are themselves Hermiticity-preserving form a discrete family
-indexed by one integer per complex-conjugate eigenvalue pair,
+A Hermiticity-preserving map is a real matrix R in a Hermitian operator
+basis (channels.real_form), so its spectrum is closed under complex
+conjugation, exactly so in a real eig.  In that basis, after clustering
+numerically coincident eigenvalues, each cluster carries a spectral
+projector P = V_k W_k (right-eigenvector block times the matching rows of
+the inverse), and the cluster of the conjugate value carries conj(P).  The
+real, that is Hermiticity-preserving, logarithms of the map form a discrete
+family indexed by one integer per complex-conjugate eigenvalue pair,
 
-    L_m = L_0 + 2 pi i sum_c m_c (P_c - F conj(P_c) F),
+    L_m = L_0 + 2 pi i sum_c m_c (P_c - conj(P_c)) = L_0 - 4 pi sum_c m_c Im(P_c),
 
-with L_0 the principal branch.  Real negative eigenvalues admit no such
-logarithm at all, and a singular map admits none.
+with L_0 the principal branch; they are returned in matrix units.  Real
+negative eigenvalues admit no such logarithm at all, and a singular map
+admits none.
 """
 from __future__ import annotations
 
@@ -25,15 +26,8 @@ from enum import Enum
 import numpy as np
 from scipy.linalg import expm
 
-from .bases import flip_conjugate, hermitian_transform, readonly, sup_norm
-from .channels import (
-    ChannelMatrix,
-    OperatorBasis,
-    as_matrix_units,
-    change_basis,
-    require_hermiticity_preserving,
-    trace_violation,
-)
+from .bases import hermitian_transform, readonly, sup_norm
+from .channels import ChannelMatrix, OperatorBasis, change_basis, real_form, trace_violation
 from .config import (
     CLUSTER_TOL,
     CONDITION_LIMIT,
@@ -75,8 +69,11 @@ class Cluster:
 class SpectralData:
     """Clustered eigenvalues and projectors of a transfer matrix.
 
-    pairs holds index tuples (c_plus, c_minus) into clusters, one per
-    complex-conjugate pair, with c_plus the member in the upper half plane.
+    entries and every projector are in the Hermitian basis of
+    bases.hermitian_transform(dimension): entries is the real matrix
+    channels.real_form of the map.  pairs holds index tuples (c_plus,
+    c_minus) into clusters, one per complex-conjugate pair, with c_plus the
+    member in the upper half plane.
     """
 
     dimension: int
@@ -117,27 +114,21 @@ def _cluster_indices(vals: np.ndarray, tol: float) -> list[tuple[complex, np.nda
 def eigendecompose(T: ChannelMatrix) -> SpectralData:
     """Cluster the spectrum of T and build the spectral projectors.
 
-    After the Hermiticity gate, the matrix decomposed is R = Re(U M U^dag),
-    the matrix-unit transfer matrix M in the Hermitian basis of
-    bases.hermitian_transform; the real part drops the Hermiticity defect
-    that the check tolerance (MARKOVSCOPE_TOL) admits.  The real eig of R
-    lists each complex eigenvalue and eigenvector right before its exact
-    conjugate, so the clusters (eigenvalues closer than CLUSTER_TOL times
-    the matrix norm merged) are closed under conjugation.  A cluster is real
-    exactly when it is its own conjugate, and its projector is its
-    flip-symmetric part (P + F conj(P) F) / 2.  A cluster in the lower half
-    plane is the conjugate of an upper one listed before it, and its
-    projector is F conj(P) F of that one's, so every later branch
-    construction is Hermiticity-preserving.
+    The matrix decomposed is R = channels.real_form(T), behind its
+    Hermiticity gate.  The real eig of R lists each complex eigenvalue and
+    eigenvector right before its exact conjugate, so the clusters
+    (eigenvalues closer than CLUSTER_TOL times the matrix norm merged) are
+    closed under conjugation.  A cluster is real exactly when it is its own
+    conjugate, and its projector is the real part of V_k W_k.  A cluster in
+    the lower half plane is the conjugate of an upper one listed before it,
+    and its projector is the conjugate of that one's, so every later branch
+    construction is real, that is Hermiticity-preserving.
 
     A cluster at or below the rounding floor ZERO_SLACK eps cond(V) scale,
     with scale = max(1, ||R||_2), is ZERO; one above the floor but within
     the clustering threshold of zero raises UnresolvedEigenvalue.
     """
-    require_hermiticity_preserving(T, "spectral analysis needs a Hermiticity-preserving map")
-    d = T.d
-    U = hermitian_transform(d)
-    R = (U @ as_matrix_units(T).entries @ U.conj().T).real
+    R = real_form(T, "spectral analysis needs a Hermiticity-preserving map")
     scale = max(1.0, float(np.linalg.norm(R, 2)))
     ctol = CLUSTER_TOL * scale
 
@@ -148,7 +139,6 @@ def eigendecompose(T: ChannelMatrix) -> SpectralData:
             f"eigenbasis condition number {cond:.3e} exceeds {CONDITION_LIMIT:.1e}; "
             "the matrix is defective or too close to it"
         )
-    V = U.conj().T @ V  # eigenvectors in matrix-unit coordinates
     W = np.linalg.inv(V)
     floor = ZERO_SLACK * np.finfo(float).eps * cond * scale
 
@@ -163,7 +153,7 @@ def eigendecompose(T: ChannelMatrix) -> SpectralData:
         if abs(value) > floor and (vals[idx].imag < 0).all():
             upper = owner[idx[0] - 1]  # eig lists each conjugate right after its upper member
             pairs.append((upper, len(clusters)))
-            P = flip_conjugate(clusters[upper].projector)
+            P = clusters[upper].projector.conj()
             clusters.append(replace(clusters[upper], value=value, projector=P))
             continue
         P = V[:, idx] @ W[idx, :]
@@ -178,14 +168,13 @@ def eigendecompose(T: ChannelMatrix) -> SpectralData:
         elif (vals[idx].imag > 0).all():
             kind = ClusterKind.COMPLEX_PAIR_MEMBER
         else:  # its own conjugate
-            P = (P + flip_conjugate(P)) / 2
+            P = P.real
             value = complex(value.real)
             kind = ClusterKind.REAL_POSITIVE if value.real > 0 else ClusterKind.REAL_NEGATIVE
         clusters.append(Cluster(value=value, multiplicity=len(idx), projector=P, kind=kind))
 
-    M = U.conj().T @ R @ U
-    data = SpectralData(dimension=d, clusters=tuple(clusters), pairs=tuple(pairs), entries=M)
-    resid = sup_norm(data.reconstruct() - M)
+    data = SpectralData(dimension=T.d, clusters=tuple(clusters), pairs=tuple(pairs), entries=R)
+    resid = sup_norm(data.reconstruct() - R)
     if resid > RECONSTRUCTION_TOL * scale:
         raise DefectiveMatrix(
             f"spectral reconstruction residual {resid:.3e} exceeds tolerance; "
@@ -195,7 +184,9 @@ def eigendecompose(T: ChannelMatrix) -> SpectralData:
 
 
 def principal_log(S: SpectralData) -> GeneratorMatrix:
-    """L_0 = sum_k log(lambda_k) P_k with the principal scalar logarithm.
+    """L_0 = sum_k log(lambda_k) P_k with the principal scalar logarithm:
+    real in the basis of S, where expm(L_0) is checked against S.entries,
+    and returned in matrix units.
 
     This is the one place that decides that no Hermiticity-preserving
     logarithm exists: a zero eigenvalue raises SingularChannel and a negative
@@ -208,25 +199,23 @@ def principal_log(S: SpectralData) -> GeneratorMatrix:
         raise NegativeRealEigenvalue(
             f"negative real eigenvalue {neg:.6g}: no Hermiticity-preserving logarithm exists"
         )
-    n = S.dimension * S.dimension
-    L = np.zeros((n, n), dtype=complex)
-    for c in S.clusters:
-        L = L + np.log(c.value) * c.projector
+    L = sum(np.log(c.value) * c.projector for c in S.clusters).real
     resid = sup_norm(expm(L) - S.entries)
     scale = max(1.0, sup_norm(S.entries))
     if resid > RECONSTRUCTION_TOL * scale:
         raise DefectiveMatrix(
             f"exp(log T) misses T by {resid:.3e}; spectral data is unreliable"
         )
-    return GeneratorMatrix(L, OperatorBasis.matrix_units(S.dimension))
+    U = hermitian_transform(S.dimension)
+    return GeneratorMatrix(U.conj().T @ L @ U, OperatorBasis.matrix_units(S.dimension))
 
 
 def branch_shifts(S: SpectralData) -> np.ndarray:
-    """The generator offsets of one winding of each pair, 2 pi i (P_c - F conj(P_c) F),
-    as one (C, d^2, d^2) stack in pair order."""
-    n = S.dimension * S.dimension
-    P = np.array([S.clusters[cp].projector - S.clusters[cm].projector for cp, cm in S.pairs])
-    return 2j * np.pi * P.reshape(S.num_complex_pairs, n, n)
+    """The generator offsets of one winding of each pair, -4 pi Im(P_c) in
+    the basis of S, as one (C, d^2, d^2) stack in pair order in matrix units."""
+    n, U = S.dimension * S.dimension, hermitian_transform(S.dimension)
+    P = np.array([S.clusters[cp].projector.imag for cp, _ in S.pairs]).reshape(-1, n, n)
+    return U.conj().T @ (-4 * np.pi * P) @ U
 
 
 def branch_sum(base: np.ndarray, terms: np.ndarray, ms) -> np.ndarray:

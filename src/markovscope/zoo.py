@@ -71,6 +71,8 @@ def dephasing_channel(t: float) -> ChannelMatrix:
 def _plane_rotation(axis: int, angle: float) -> np.ndarray:
     """Pauli-basis matrix of conjugation by exp(-i (angle/2) sigma_axis):
     identity on (1, sigma_axis), rotation by angle in the remaining plane."""
+    if not math.isfinite(angle):
+        raise RangeError(f"rotation angle must be finite, got {angle}")
     c, s = math.cos(angle), math.sin(angle)
     M = np.eye(4)
     # cyclic: rotating about axis k sends sigma_{k+1} -> c sigma_{k+1} + s sigma_{k+2}

@@ -33,13 +33,14 @@ from markovscope.channels import (
 from markovscope.errors import (
     DimensionMismatch,
     InvalidForm,
-    NonRealDeterminant,
     NotASquareOfSquare,
     NotAChannel,
+    NotHermiticityPreserving,
     RangeError,
 )
-from markovscope.lindblad import ccp_block
-from markovscope.zoo import dephasing_channel, random_channel, transpose_approximation
+from markovscope.lindblad import GeneratorMatrix, ccp_block, evolve, evolve_time_dependent
+from markovscope.qubit import td_markovian_check
+from markovscope.zoo import dephasing_channel, random_channel, random_lindblad, transpose_approximation
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -164,8 +165,15 @@ def test_determinant_real_and_complex():
     assert abs(determinant(ChannelMatrix(np.eye(4), OperatorBasis.matrix_units(2))) - 1.0) < 1e-15
     # a non-Hermiticity-preserving map can have a complex determinant
     bad = ChannelMatrix(np.diag([1.0, 1j, 1.0, 1.0]), OperatorBasis.matrix_units(2))
-    with pytest.raises(NonRealDeterminant):
+    with pytest.raises(NotHermiticityPreserving):
         determinant(bad)
+
+
+def test_qubit_determinant_is_the_lorentz_det_bit_for_bit():
+    chans = [random_channel(2, s) for s in range(40)]
+    chans += [change_basis(T, OperatorBasis.pauli()) for T in chans[:10]]
+    for T in chans:
+        assert determinant(T) == td_markovian_check(T).s.det_T
 
 
 def test_determinant_invariant_under_basis_change():
@@ -272,3 +280,31 @@ def test_trace_preservation_as_fixed_left_vector():
     T = random_channel(3, 12)
     w = omega_vector(3)
     assert np.abs(T.entries.conj().T @ w - w).max() < 1e-12
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ChannelMatrix(np.full((4, 4), _NAN), OperatorBasis.pauli()),
+        lambda: ChannelMatrix(np.diag([1.0, _INF, 1.0, 1.0]), OperatorBasis.matrix_units(2)),
+        lambda: GeneratorMatrix(np.full((4, 4), _INF), OperatorBasis.matrix_units(2)),
+        lambda: evolve(random_lindblad(2, 1), _NAN),
+        lambda: random_lindblad(2, 1, scale=_INF),
+        lambda: DensityMatrix(np.full((2, 2), _NAN)),
+        lambda: evolve_time_dependent(lambda t: random_lindblad(2, 1), _NAN, 0.1),
+        lambda: evolve_time_dependent(lambda t: random_lindblad(2, 1), _INF, 0.1),
+        lambda: evolve_time_dependent(lambda t: random_lindblad(2, 1), 1.0, _NAN),
+        lambda: evolve_time_dependent(lambda t: random_lindblad(2, 1), 1.0, _INF),
+    ],
+    ids=[
+        "channel-nan", "channel-inf", "generator-inf", "evolve-nan-time", "lindblad-inf-scale",
+        "state-nan", "td-nan-t-final", "td-inf-t-final", "td-nan-dt-max", "td-inf-dt-max",
+    ],
+)
+def test_non_finite_input_is_a_range_error(build):
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(RangeError):
+            build()

@@ -383,6 +383,9 @@ def test_exit_not_a_channel(tmp_path, capsys):
         ["check", "FILE", "--model", "figure2a"],
         # a winding number beyond the float range
         ["power", "--model", "rabi", "--param", "theta=0.3", "--s", "0.5", "--branch", "1" + "0" * 400],
+        ["sample", "--seed", "-1", "--n", "3"],
+        # finite, but the rotation angle 2 theta overflows
+        ["check", "--model", "rabi", "--param", "theta=1e308"],
     ],
 )
 def test_invalid_inputs_exit_1(argv, tmp_path, capsys):
@@ -393,6 +396,12 @@ def test_invalid_inputs_exit_1(argv, tmp_path, capsys):
     assert code == 1
     assert err.startswith("error:")
     assert out == ""
+
+
+@pytest.mark.parametrize("n, seed", [(True, 1), (3, -1), (3, 1.5), (3, True), (2.0, 1)])
+def test_sample_fractions_rejects_bad_count_or_seed(n, seed):
+    with pytest.raises(errors.RangeError):
+        cli.sample_fractions(2, n, seed)
 
 
 EXIT_CODES = {
@@ -409,7 +418,6 @@ EXIT_CODES = {
     "DefectiveMatrix": 2,
     "UnresolvedEigenvalue": 2,
     "StepFailure": 2,
-    "NonRealDeterminant": 2,
     "ComplexLorentzSpectrum": 2,
     "DegenerateSample": 2,
     "NotAChannel": 3,

@@ -11,7 +11,6 @@ from markovscope.bases import omega_vector
 from markovscope.channels import ChannelMatrix, OperatorBasis, as_matrix_units, mix, verify_channel
 from markovscope.decision import (
     Verdict,
-    branch_candidates,
     branch_search,
     build_a_matrices,
     markovian_check,
@@ -38,10 +37,14 @@ FROZEN_MU_HALF_MIX = 0.40126269753636545
 FROZEN_MEASURE_HALF_MIX = 0.3000554186331298
 
 
+def _branch_rows(C, m_max):
+    return list(map(tuple, decision._branch_table(C, m_max).tolist()))
+
+
 def test_branch_candidates_shell_order():
-    seq = list(branch_candidates(1, 2))
+    seq = _branch_rows(1, 2)
     assert seq == [(0,), (-1,), (1,), (-2,), (2,)]
-    seq2 = list(branch_candidates(2, 1))
+    seq2 = _branch_rows(2, 1)
     assert seq2[0] == (0, 0)
     assert seq2[1:] == [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
 
@@ -73,7 +76,7 @@ def test_branch_search_witness_precedes_best():
 
 def _scalar_branch_search(A, m_max, tol):
     best_m, best_v, witness = None, -np.inf, None
-    for m in branch_candidates(len(A) - 1, m_max):
+    for m in _branch_rows(len(A) - 1, m_max):
         v = float(np.linalg.eigvalsh(branch_sum(A[0], A[1:], [m])[0]).min())
         if v > best_v:
             best_m, best_v = m, v

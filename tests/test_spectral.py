@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.stats import unitary_group
 
-from markovscope.bases import flip_operator, omega_vector
+from markovscope.bases import flip_operator, hermitian_transform, omega_vector
 from markovscope.channels import ChannelMatrix, OperatorBasis, as_matrix_units, mix
 from markovscope.decision import markovian_check
 from markovscope.errors import (
@@ -78,11 +78,21 @@ def test_conjugate_pair_bookkeeping():
     assert S.num_complex_pairs == 1
     cp, cm = S.pairs[0]
     assert S.clusters[cp].value.imag > 0
-    F = flip_operator(2)
-    partner = F @ S.clusters[cp].projector.conj() @ F
-    # the minus member is pinned to the flip conjugate exactly
+    partner = S.clusters[cp].projector.conj()
+    # in the real basis of the spectral data the minus member is the plain
+    # conjugate, exactly
     assert np.abs(partner - S.clusters[cm].projector).max() == 0.0
     assert S.clusters[cm].value == np.conj(S.clusters[cp].value)
+
+
+def test_real_cluster_projectors_are_real():
+    seen = 0
+    for T in (figure2a_mixture(0.5), dephasing_channel(0.3), random_channel(2, 3), random_channel(3, 4)):
+        for c in eigendecompose(T).clusters:
+            if c.kind in (ClusterKind.REAL_POSITIVE, ClusterKind.REAL_NEGATIVE):
+                assert np.abs(c.projector.imag).max() == 0.0
+                seen += 1
+    assert seen >= 5
 
 
 def test_mixture_spectrum_frozen():
@@ -259,9 +269,12 @@ def _covariance_inputs(draw):
 @given(T=_covariance_inputs(), useed=_seeds)
 def test_spectral_data_is_unitarily_covariant(T, useed):
     # conjugating T by W = U (x) conj(U) keeps every cluster and moves each
-    # projector P to W P W^dag
+    # projector P, in the Hermitian basis of the spectral data, to O P O^T
+    # with O = H W H^dag, a real orthogonal matrix
     U = _haar(T.d, useed)
     W = np.kron(U, U.conj())
+    H = hermitian_transform(T.d)
+    O = (H @ W @ H.conj().T).real
     M = W @ as_matrix_units(T).entries @ W.conj().T
     moved = ChannelMatrix(M, OperatorBasis.matrix_units(T.d))
     S, S2 = eigendecompose(T), eigendecompose(moved)
@@ -272,6 +285,6 @@ def test_spectral_data_is_unitarily_covariant(T, useed):
         c2 = S2.clusters[k]
         assert abs(c2.value - c.value) <= 1e-8
         assert (c2.multiplicity, c2.kind) == (c.multiplicity, c.kind)
-        assert np.abs(c2.projector - W @ c.projector @ W.conj().T).max() <= 1e-8
+        assert np.abs(c2.projector - O @ c.projector @ O.T).max() <= 1e-8
     assert sorted((match[a], match[b]) for a, b in S.pairs) == sorted(S2.pairs)
     assert abs(markovian_check(moved).measure - markovian_check(T).measure) <= 1e-9
