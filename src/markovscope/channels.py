@@ -66,8 +66,8 @@ class OperatorBasis:
     dimension: int
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise DimensionMismatch(f"dimension must be positive, got {self.dimension}")
+        if self.dimension < 2:
+            raise DimensionMismatch(f"dimension must be at least 2, got {self.dimension}")
         if self.tag is BasisTag.PAULI_NORMALIZED and self.dimension != 2:
             raise UnsupportedBasis("the normalized Pauli basis exists only for d = 2")
 
@@ -132,6 +132,8 @@ class ChoiMatrix:
 
     def __post_init__(self):
         M = readonly(self.entries)
+        if not np.isfinite(M).all():
+            raise RangeError("a Choi matrix must have finite entries")
         if _square_side(M) != self.dimension:
             raise DimensionMismatch("Choi matrix size does not match the declared dimension")
         object.__setattr__(self, "entries", M)
@@ -149,6 +151,8 @@ class KrausSet:
         for K in ops:
             if K.ndim != 2 or K.shape != (d, d):
                 raise DimensionMismatch("Kraus operators must all be square with equal size")
+            if not np.isfinite(K).all():
+                raise RangeError("Kraus operators must have finite entries")
         if len(ops) > d * d:
             raise InvalidForm(f"at most d^2 = {d * d} Kraus operators are meaningful, got {len(ops)}")
         object.__setattr__(self, "operators", ops)
@@ -226,6 +230,17 @@ class ChannelReport:
     @property
     def is_channel(self) -> bool:
         return self.hermiticity_preserving and self.trace_preserving and self.completely_positive
+
+    def require(self, what: str) -> None:
+        """Raise NotAChannel, naming what needs a channel and the three
+        witnesses, unless the map is a channel."""
+        if not self.is_channel:
+            raise NotAChannel(
+                f"{what} needs a channel: "
+                f"hermiticity={self.hermiticity_preserving} (viol {self.hermiticity_violation:.2e}), "
+                f"trace={self.trace_preserving} (viol {self.trace_violation:.2e}), "
+                f"cp={self.completely_positive} (min Choi eig {self.min_choi_eigenvalue:.2e})"
+            )
 
 
 def hermiticity_violation(T: ChannelMatrix) -> float:

@@ -17,7 +17,8 @@ from .errors import ParseError
 # base tolerance for hermiticity / trace-preservation / positivity checks,
 # applied relative to the sup norm of the matrix under test
 CHECK_TOL = 1e-9
-# eigenvalue clustering threshold, relative to ||T||
+# eigenvalue clustering threshold: two eigenvalues closer than this times
+# the larger of their moduli are one cluster
 CLUSTER_TOL = 1e-8
 # projector idempotency
 PROJECTOR_TOL = 1e-8

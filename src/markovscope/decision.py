@@ -38,10 +38,8 @@ from .config import COMPRESSION_RESIDUAL_TOL, CUT_SLACK, MARKOV_TOL
 from .errors import (
     DefectiveMatrix,
     NegativeRealEigenvalue,
-    NotAChannel,
     RangeError,
     SingularChannel,
-    UnresolvedEigenvalue,
 )
 from .lindblad import ccp_block
 from .spectral import SpectralData, branch_shifts, branch_sum, eigendecompose, principal_log
@@ -187,7 +185,6 @@ def branch_search(
 # message is the report's diagnostics.  A new reason to refuse a spectrum is
 # one row here.
 _PRE_SEARCH_VERDICTS = {
-    UnresolvedEigenvalue: Verdict.UNSUPPORTED_SPECTRUM,
     DefectiveMatrix: Verdict.UNSUPPORTED_SPECTRUM,
     RangeError: Verdict.UNSUPPORTED_SPECTRUM,  # the box exceeds MAX_BRANCH_CANDIDATES
     SingularChannel: Verdict.SINGULAR,
@@ -213,23 +210,15 @@ def markovian_check(
 
     A map that fails before the search gets the verdict _PRE_SEARCH_VERDICTS
     gives its exception, with mu_min infinite and measure 0: a defective
-    spectrum, a failed conjugate pairing or a box larger than
-    MAX_BRANCH_CANDIDATES is UNSUPPORTED_SPECTRUM, and a map without a
-    Hermiticity-preserving logarithm gets the verdict of the exception
-    principal_log raises.
+    spectrum or a box larger than MAX_BRANCH_CANDIDATES is
+    UNSUPPORTED_SPECTRUM, and a map without a Hermiticity-preserving
+    logarithm gets the verdict of the exception principal_log raises.
     """
     if isinstance(m_max, bool) or not isinstance(m_max, int) or m_max < 0:
         raise RangeError(f"m_max must be an integer >= 0, got {m_max!r}")
     if tol is not None and not (math.isfinite(tol) and tol >= 0):
         raise RangeError(f"tol must be None or a finite number >= 0, got {tol!r}")
-    rep = verify_channel(T)
-    if not rep.is_channel:
-        raise NotAChannel(
-            "markovian_check needs a channel: "
-            f"hermiticity={rep.hermiticity_preserving} (viol {rep.hermiticity_violation:.2e}), "
-            f"trace={rep.trace_preserving} (viol {rep.trace_violation:.2e}), "
-            f"cp={rep.completely_positive} (min Choi eig {rep.min_choi_eigenvalue:.2e})"
-        )
+    verify_channel(T).require("markovian_check")
     d = T.d
     best, best_v, witness = None, math.nan, None
     try:

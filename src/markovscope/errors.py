@@ -3,12 +3,15 @@
 Every error carries the exit code the command line returns for it:
 
 * 1, ``InputError`` and its subclasses: bad files, bad parameters, wrong
-  dimension;
+  dimension (every map acts on d x d matrices with d >= 2);
 * 2, the default: numerical failures and maps without a usable logarithm
   (defective matrices, unreachable step tolerances, a singular map or a
   negative real eigenvalue);
 * 3, ``NotAChannel`` and ``NotHermiticityPreserving``: the input is not a
-  channel at all.
+  channel at all, for the snapshot and the time-dependent criterion alike.
+
+An eigenvalue above the rounding floor of the zero test is resolved
+however small it is (spectral.eigendecompose), never an error.
 """
 
 
@@ -62,10 +65,6 @@ class ParseError(InputError):
 
 class DefectiveMatrix(MarkovscopeError):
     """Geometric multiplicity below algebraic: no clean spectral projectors."""
-
-
-class UnresolvedEigenvalue(MarkovscopeError):
-    """Eigenvalue within the clustering threshold of zero, above its rounding floor."""
 
 
 class StepFailure(MarkovscopeError):

@@ -92,6 +92,9 @@ class LindbladForm:
     def __post_init__(self):
         H = np.asarray(self.H, dtype=complex)
         G = np.asarray(self.G, dtype=complex)
+        kappa = None if self.kappa is None else np.asarray(self.kappa, dtype=complex)
+        if not all(np.isfinite(M).all() for M in (H, G, kappa) if M is not None):
+            raise RangeError("a Lindblad form must have finite entries")
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise InvalidForm(f"H must be square, got shape {H.shape}")
         d = H.shape[0]
@@ -107,10 +110,9 @@ class LindbladForm:
         if np.linalg.eigvalsh((G + G.conj().T) / 2).min() < -eps:
             raise InvalidForm("G has a negative eigenvalue; rates must be nonnegative")
         phi_star = _phi_star_identity(G, trace_basis(d), d)
-        if self.kappa is None:
+        if kappa is None:
             kappa = 1j * H + phi_star / 2
         else:
-            kappa = np.asarray(self.kappa, dtype=complex)
             if kappa.shape != (d, d):
                 raise InvalidForm(f"kappa must be {d}x{d}, got shape {kappa.shape}")
             if sup_norm(kappa + kappa.conj().T - phi_star) > KAPPA_SLACK * eps:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelMatrix, real_form
+from .channels import ChannelMatrix, real_form, verify_channel
 from .config import LORENTZ_IMAG_TOL
 from .errors import ComplexLorentzSpectrum, NotQubit
 
@@ -78,7 +78,9 @@ def _lorentz(T: ChannelMatrix) -> tuple[LorentzSingularValues, float]:
 
 def td_markovian_check(T: ChannelMatrix) -> TdReport:
     """True iff det T is positive beyond rounding and s1^2 s4^2 >= s1 s2 s3 s4
-    (within tolerance; equality counts)."""
+    (within tolerance; equality counts).  The criterion characterizes
+    channels, so a map that is not one raises NotAChannel."""
+    verify_channel(T).require("td_markovian_check")
     lsv, det_tol = _lorentz(T)
     if lsv.det_T <= det_tol:
         return TdReport(td_markovian=False, s=lsv)

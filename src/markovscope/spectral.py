@@ -42,7 +42,6 @@ from .errors import (
     NegativeRealEigenvalue,
     RangeError,
     SingularChannel,
-    UnresolvedEigenvalue,
 )
 from .lindblad import GeneratorMatrix
 
@@ -98,13 +97,17 @@ class SpectralData:
         return any(c.kind is kind for c in self.clusters)
 
 
-def _cluster_indices(vals: np.ndarray, tol: float) -> list[tuple[complex, np.ndarray]]:
-    """Groups of eigenvalues joined by chains of gaps <= tol, as (mean,
-    indices) pairs: indices ascending, groups by decreasing modulus, then
-    real part, then imaginary part of the mean."""
-    n = vals.size
-    linked = (np.abs(vals[:, None] - vals[None, :]) <= tol) | np.eye(n, dtype=bool)
-    for _ in range(n.bit_length()):  # paths of up to 2^k steps after k squarings
+def _cluster_indices(vals: np.ndarray, floor: float) -> list[tuple[complex, np.ndarray]]:
+    """Groups of eigenvalues joined by chains of links, as (mean, indices)
+    pairs: indices ascending, groups by decreasing modulus, then real part,
+    then imaginary part of the mean.  Two eigenvalues are linked when their
+    gap is at most CLUSTER_TOL times the larger modulus, and every
+    eigenvalue at or below floor is linked to every other one."""
+    mod = np.abs(vals)
+    tiny = mod <= floor
+    linked = np.abs(vals[:, None] - vals[None, :]) <= CLUSTER_TOL * np.maximum.outer(mod, mod)
+    linked |= np.outer(tiny, tiny)
+    for _ in range(vals.size.bit_length()):  # paths of up to 2^k steps after k squarings
         linked = linked @ linked
     groups = {row.tobytes(): np.flatnonzero(row) for row in linked}  # first-seen order
     means = [(vals[g].mean(), g) for g in groups.values()]
@@ -117,20 +120,19 @@ def eigendecompose(T: ChannelMatrix) -> SpectralData:
     The matrix decomposed is R = channels.real_form(T), behind its
     Hermiticity gate.  The real eig of R lists each complex eigenvalue and
     eigenvector right before its exact conjugate, so the clusters
-    (eigenvalues closer than CLUSTER_TOL times the matrix norm merged) are
+    (eigenvalues closer than CLUSTER_TOL times their modulus merged) are
     closed under conjugation.  A cluster is real exactly when it is its own
     conjugate, and its projector is the real part of V_k W_k.  A cluster in
     the lower half plane is the conjugate of an upper one listed before it,
     and its projector is the conjugate of that one's, so every later branch
     construction is real, that is Hermiticity-preserving.
 
-    A cluster at or below the rounding floor ZERO_SLACK eps cond(V) scale,
-    with scale = max(1, ||R||_2), is ZERO; one above the floor but within
-    the clustering threshold of zero raises UnresolvedEigenvalue.
+    Every eigenvalue at or below the rounding floor ZERO_SLACK eps cond(V)
+    scale, with scale = max(1, ||R||_2), joins the one ZERO cluster; every
+    other eigenvalue is resolved, however small.
     """
     R = real_form(T, "spectral analysis needs a Hermiticity-preserving map")
     scale = max(1.0, float(np.linalg.norm(R, 2)))
-    ctol = CLUSTER_TOL * scale
 
     vals, V = np.linalg.eig(R)
     cond = np.linalg.cond(V)
@@ -143,14 +145,9 @@ def eigendecompose(T: ChannelMatrix) -> SpectralData:
     floor = ZERO_SLACK * np.finfo(float).eps * cond * scale
 
     clusters, pairs, owner = [], [], {}  # owner: eigenvalue index -> its cluster
-    for value, idx in _cluster_indices(vals, ctol):
+    for value, idx in _cluster_indices(vals, floor):
         owner.update(dict.fromkeys(idx.tolist(), len(clusters)))
-        if floor < abs(value) <= ctol:
-            raise UnresolvedEigenvalue(
-                f"eigenvalue {value:.6g} lies within the clustering threshold {ctol:.3e} "
-                f"of zero but above its rounding floor {floor:.3e}"
-            )
-        if abs(value) > floor and (vals[idx].imag < 0).all():
+        if (vals[idx].imag < 0).all():
             upper = owner[idx[0] - 1]  # eig lists each conjugate right after its upper member
             pairs.append((upper, len(clusters)))
             P = clusters[upper].projector.conj()

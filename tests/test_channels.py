@@ -38,7 +38,7 @@ from markovscope.errors import (
     NotHermiticityPreserving,
     RangeError,
 )
-from markovscope.lindblad import GeneratorMatrix, ccp_block, evolve, evolve_time_dependent
+from markovscope.lindblad import GeneratorMatrix, LindbladForm, ccp_block, evolve, evolve_time_dependent
 from markovscope.qubit import td_markovian_check
 from markovscope.zoo import dephasing_channel, random_channel, random_lindblad, transpose_approximation
 
@@ -298,10 +298,17 @@ _NAN, _INF = float("nan"), float("inf")
         lambda: evolve_time_dependent(lambda t: random_lindblad(2, 1), _INF, 0.1),
         lambda: evolve_time_dependent(lambda t: random_lindblad(2, 1), 1.0, _NAN),
         lambda: evolve_time_dependent(lambda t: random_lindblad(2, 1), 1.0, _INF),
+        # at the parent kraus_from_choi of this matrix raised numpy's LinAlgError
+        lambda: kraus_from_choi(ChoiMatrix(np.full((4, 4), _NAN), 2)),
+        lambda: KrausSet((np.full((2, 2), _NAN),)),
+        # at the parent these built a NaN kappa, or kept an infinite one
+        lambda: LindbladForm(np.full((2, 2), _NAN), np.eye(3)),
+        lambda: LindbladForm(np.zeros((2, 2)), np.eye(3), np.full((2, 2), _INF)),
     ],
     ids=[
         "channel-nan", "channel-inf", "generator-inf", "evolve-nan-time", "lindblad-inf-scale",
         "state-nan", "td-nan-t-final", "td-inf-t-final", "td-nan-dt-max", "td-inf-dt-max",
+        "choi-nan", "kraus-nan", "form-nan", "form-inf-kappa",
     ],
 )
 def test_non_finite_input_is_a_range_error(build):

@@ -363,9 +363,10 @@ def test_exit_not_a_channel(tmp_path, capsys):
     path = tmp_path / "double.json"
     T = ChannelMatrix(2.0 * np.eye(4), OperatorBasis.matrix_units(2))
     save_channel(T, str(path))
-    code, _, err = run_cli(capsys, ["check", str(path)])
-    assert code == 3
-    assert "error:" in err
+    for command in ("check", "tdcheck"):  # tdcheck exited 0 at the parent
+        code, _, err = run_cli(capsys, [command, str(path)])
+        assert code == 3
+        assert "error:" in err
 
 
 @pytest.mark.parametrize(
@@ -386,12 +387,16 @@ def test_exit_not_a_channel(tmp_path, capsys):
         ["sample", "--seed", "-1", "--n", "3"],
         # finite, but the rotation angle 2 theta overflows
         ["check", "--model", "rabi", "--param", "theta=1e308"],
+        # a map on 1 x 1 matrices; at the parent a numpy traceback
+        ["check", "ONE"],
+        ["measure", "ONE"],
     ],
 )
 def test_invalid_inputs_exit_1(argv, tmp_path, capsys):
-    path = tmp_path / "chan.json"
+    path, one = tmp_path / "chan.json", tmp_path / "one.json"
     save_channel(dephasing_channel(0.7), str(path))
-    argv = [str(path) if a == "FILE" else a for a in argv]
+    one.write_text('{"dimension": 1, "representation": "transfer", "data": [[[1.0, 0.0]]]}')
+    argv = [{"FILE": str(path), "ONE": str(one)}.get(a, a) for a in argv]
     code, out, err = run_cli(capsys, argv)
     assert code == 1
     assert err.startswith("error:")
@@ -416,7 +421,6 @@ EXIT_CODES = {
     "BranchLengthMismatch": 1,
     "ParseError": 1,
     "DefectiveMatrix": 2,
-    "UnresolvedEigenvalue": 2,
     "StepFailure": 2,
     "ComplexLorentzSpectrum": 2,
     "DegenerateSample": 2,

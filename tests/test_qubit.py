@@ -3,7 +3,7 @@ import pytest
 
 from markovscope.channels import ChannelMatrix, OperatorBasis, as_matrix_units, compose
 from markovscope.decision import Verdict, markovian_check
-from markovscope.errors import ComplexLorentzSpectrum, NotQubit
+from markovscope.errors import ComplexLorentzSpectrum, NotAChannel, NotQubit
 from markovscope.lindblad import evolve
 from markovscope.qubit import lorentz_singular_values, td_markovian_check
 from markovscope.zoo import (
@@ -92,6 +92,17 @@ def test_negative_determinant_short_circuits():
 def test_not_qubit_rejected():
     with pytest.raises(NotQubit):
         td_markovian_check(random_channel(3, 1))
+
+
+def test_not_a_channel_rejected():
+    # at the parent this trace-increasing map was called TD-Markovian
+    T = ChannelMatrix(np.diag([2.0, 1.0, 1.0, 1.0]), OperatorBasis.pauli())
+    with pytest.raises(NotAChannel) as td:
+        td_markovian_check(T)
+    with pytest.raises(NotAChannel) as mk:
+        markovian_check(T)
+    assert str(td.value).replace("td_", "", 1) == str(mk.value)
+    assert "trace=False" in str(td.value)
 
 
 def test_complex_metric_spectrum_is_an_error():

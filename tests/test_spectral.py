@@ -229,11 +229,24 @@ def test_cluster_tolerance_merges_near_degenerate():
 
 
 def test_cluster_links_chains_of_close_eigenvalues():
-    # neighbours are 8e-9 apart, inside the 1e-8 threshold, but the outer
-    # two are 1.6e-8 apart: the chain still makes one cluster of three
-    T = ChannelMatrix(np.diag([1.0, 0.5, 0.5 + 8e-9, 0.5 + 1.6e-8]), OperatorBasis.pauli())
+    # neighbours are 4e-9 apart, inside the threshold 1e-8 * 0.5, but the
+    # outer two are 8e-9 apart: the chain still makes one cluster of three
+    T = ChannelMatrix(np.diag([1.0, 0.5, 0.5 + 4e-9, 0.5 + 8e-9]), OperatorBasis.pauli())
     S = eigendecompose(T)
     assert [c.multiplicity for c in S.clusters] == [1, 3]
+
+
+def test_small_conjugate_pair_is_not_merged():
+    # a +- b i with |2 b| far below 1e-8 but far above 1e-8 |a|: the pair is
+    # resolved relative to its own modulus, not to the norm of the map
+    a, b = -1e-5, 1e-9
+    M = np.array([[1, 0, 0, 0], [0, a, -b, 0], [0, b, a, 0], [0, 0, 0, 0.5]])
+    S = eigendecompose(ChannelMatrix(M, OperatorBasis.pauli()))
+    assert S.num_complex_pairs == 1
+    (cp, cm), = S.pairs
+    assert abs(S.clusters[cp].value - complex(a, b)) <= 1e-20
+    assert S.clusters[cm].value == S.clusters[cp].value.conjugate()
+    assert not S.has_kind(ClusterKind.REAL_NEGATIVE)
 
 
 def test_spectral_data_is_immutable():
