@@ -26,7 +26,7 @@ from .io import (
     spectral_to_dict,
     td_report_to_dict,
 )
-from .qubit import td_markovian_check
+from .qubit import lorentz_singular_values, td_markovian_check
 from .spectral import eigendecompose, fractional_power
 from .zoo import (
     JCParams,
@@ -167,6 +167,10 @@ def cmd_tdcheck(args) -> int:
     return 0
 
 
+# far above any scan worth printing; a grid beyond it is a typo, not a job
+MAX_SCAN_ROWS = 10**6
+
+
 def _scan_grid(start: float, stop: float, step: float) -> list[float]:
     if not all(map(math.isfinite, (start, stop, step))):
         raise ParseError(f"--start, --stop and --step must be finite, got {start}, {stop}, {step}")
@@ -174,7 +178,12 @@ def _scan_grid(start: float, stop: float, step: float) -> list[float]:
         raise ParseError(f"--step must be positive, got {step}")
     if start > stop:
         raise ParseError(f"--start {start} exceeds --stop {stop}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    steps = (stop - start) / step + 1e-9  # inf when the span overflows
+    if not steps < MAX_SCAN_ROWS:
+        raise ParseError(
+            f"--start {start} to --stop {stop} by --step {step} is more than {MAX_SCAN_ROWS} rows"
+        )
+    count = int(math.floor(steps)) + 1
     return [start + k * step for k in range(count)]
 
 
@@ -187,12 +196,12 @@ def cmd_scan(args) -> int:
     for value in _scan_grid(args.start, args.stop, args.step):
         T = _build_model(args.model, {**fixed, sweep: value})
         report = markovian_check(T, m_max=args.m_max)
-        td = td_markovian_check(T)
+        td = lorentz_singular_values(T).td_markovian  # T validated by markovian_check
         det = determinant(T)
         lines.append(
             f"{value:.10g},{1 if report.verdict is Verdict.MARKOVIAN else 0},"
             f"{_fmt(report.mu_min)},{_fmt(report.measure)},"
-            f"{1 if td.td_markovian else 0},{_fmt(det)}"
+            f"{1 if td else 0},{_fmt(det)}"
         )
     text = "\n".join(lines) + "\n"
     if args.output:
@@ -219,7 +228,7 @@ def sample_fractions(d: int, n: int, seed: int) -> dict:
         mk = markovian_check(T).verdict is Verdict.MARKOVIAN
         n_mk += mk
         if d == 2:
-            td = td_markovian_check(T).td_markovian
+            td = lorentz_singular_values(T).td_markovian  # T validated by markovian_check
             n_td += td
             n_mk_not_td += mk and not td
     if d == 2:

@@ -19,9 +19,12 @@ converts into the least admixture of isotropic noise that would repair the
 best branch, mu_min = d * max(0, -max_m f(m)), and into the measure
 M(T) = exp[mu_min (1 - d^2)].
 
-Maps with a zero or negative real eigenvalue have no logarithm family at all
-and receive their own verdicts (and measure 0); a spectrum that cannot be
-decided is UNSUPPORTED_SPECTRUM, with the reason in the diagnostics.
+Maps with a zero or negative real eigenvalue receive their own verdicts (and
+measure 0).  A singular map has no logarithm; NO_HERMITIAN_LOG is exact only
+when the negative eigenvalue has odd multiplicity, since at even multiplicity
+real logarithms can exist (Culver 1966) and are not yet searched.  A spectrum
+that cannot be decided is UNSUPPORTED_SPECTRUM, with the reason in the
+diagnostics.
 """
 from __future__ import annotations
 

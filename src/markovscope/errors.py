@@ -93,8 +93,10 @@ class SingularChannel(MarkovscopeError):
 
 
 class NegativeRealEigenvalue(MarkovscopeError):
-    """A non-degenerate negative real eigenvalue: no Hermiticity-compatible
-    logarithm exists."""
+    """A negative real eigenvalue, of any multiplicity.  There is no
+    Hermiticity-compatible logarithm when the multiplicity is odd; at even
+    multiplicity real logarithms can exist (Culver 1966), and are not yet
+    searched."""
 
 
 class NotHermiticityPreserving(MarkovscopeError):

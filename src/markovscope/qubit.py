@@ -34,6 +34,15 @@ _DET_ROUNDING = 8 * np.finfo(float).eps
 class LorentzSingularValues:
     s: tuple[float, float, float, float]
     det_T: float
+    det_rounding: float  # a |det_T| at or below this is rounding
+
+    @property
+    def td_markovian(self) -> bool:
+        """det T > det_rounding and s1^2 s4^2 >= s1 s2 s3 s4 (equality counts)."""
+        if self.det_T <= self.det_rounding:
+            return False
+        s1, s2, s3, s4 = self.s
+        return s1 * s1 * s4 * s4 >= s1 * s2 * s3 * s4 - LORENTZ_IMAG_TOL
 
 
 @dataclass(frozen=True)
@@ -43,47 +52,38 @@ class TdReport:
 
 
 def lorentz_singular_values(T: ChannelMatrix) -> LorentzSingularValues:
-    """Square roots of the eigenvalues of T g T' g, sorted descending.
+    """Square roots of the eigenvalues of T g T' g, sorted descending, and det T
+    with its rounding level; the map is not checked to be a channel.
 
-    With a negative determinant the criterion is already decided, so complex
-    or negative eigenvalues of T g T' g are then resolved best-effort (real
-    parts, clipped at zero).  With positive determinant they are an error:
-    the channel is outside the generic family the criterion covers.
+    With det T at or below rounding the criterion is already decided, so
+    complex or negative eigenvalues of T g T' g are then resolved best-effort
+    (real parts, clipped at zero).  Above it they are an error: the channel
+    is outside the generic family the criterion covers.
     """
-    return _lorentz(T)[0]
-
-
-def _lorentz(T: ChannelMatrix) -> tuple[LorentzSingularValues, float]:
-    """lorentz_singular_values(T) and the rounding level of its det_T."""
     if T.d != 2:
         raise NotQubit(f"the divisibility criterion is for qubits, got d = {T.d}")
     M = real_form(T, "Lorentz singular values need a Hermiticity-preserving map")
     det_T = float(np.linalg.det(M))
-    det_tol = _DET_ROUNDING * float(np.prod(np.linalg.norm(M, axis=0)))
+    det_rounding = float(_DET_ROUNDING * np.prod(np.linalg.norm(M, axis=0)))
     X = M @ _G_METRIC @ M.T @ _G_METRIC
     vals = np.linalg.eigvals(X)
 
     troubled = [v for v in vals if abs(v.imag) > LORENTZ_IMAG_TOL * max(1.0, abs(v))]
     if not troubled:
         troubled = [v for v in vals if v.real < -LORENTZ_IMAG_TOL * max(1.0, abs(v))]
-    if troubled and det_T > det_tol:
+    if troubled and det_T > det_rounding:
         raise ComplexLorentzSpectrum(
             f"T g T' g has eigenvalues {np.round(vals, 9)} off the nonnegative axis "
             "while det > 0; the criterion is undefined for this non-generic channel"
         )
     s = np.sqrt(np.clip(vals.real, 0.0, None))
     s = tuple(float(x) for x in np.sort(s)[::-1])
-    return LorentzSingularValues(s=s, det_T=det_T), det_tol
+    return LorentzSingularValues(s=s, det_T=det_T, det_rounding=det_rounding)
 
 
 def td_markovian_check(T: ChannelMatrix) -> TdReport:
-    """True iff det T is positive beyond rounding and s1^2 s4^2 >= s1 s2 s3 s4
-    (within tolerance; equality counts).  The criterion characterizes
-    channels, so a map that is not one raises NotAChannel."""
+    """LorentzSingularValues.td_markovian of a channel.  The criterion
+    characterizes channels, so a map that is not one raises NotAChannel."""
     verify_channel(T).require("td_markovian_check")
-    lsv, det_tol = _lorentz(T)
-    if lsv.det_T <= det_tol:
-        return TdReport(td_markovian=False, s=lsv)
-    s1, s2, s3, s4 = lsv.s
-    ok = s1 * s1 * s4 * s4 >= s1 * s2 * s3 * s4 - LORENTZ_IMAG_TOL
-    return TdReport(td_markovian=ok, s=lsv)
+    lsv = lorentz_singular_values(T)
+    return TdReport(td_markovian=lsv.td_markovian, s=lsv)

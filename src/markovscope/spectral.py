@@ -12,9 +12,11 @@ family indexed by one integer per complex-conjugate eigenvalue pair,
 
     L_m = L_0 + 2 pi i sum_c m_c (P_c - conj(P_c)) = L_0 - 4 pi sum_c m_c Im(P_c),
 
-with L_0 the principal branch; they are returned in matrix units.  Real
-negative eigenvalues admit no such logarithm at all, and a singular map
-admits none.
+with L_0 the principal branch; they are returned in matrix units.  A
+singular map admits no logarithm, and neither does a negative real
+eigenvalue of odd multiplicity.  Every negative real cluster is rejected
+here: at even multiplicity real logarithms can exist (Culver 1966) but form
+a continuous family that is not yet searched.
 """
 from __future__ import annotations
 

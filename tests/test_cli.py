@@ -8,13 +8,14 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import markovscope
 from markovscope import cli, errors
-from markovscope.channels import ChannelMatrix, OperatorBasis
+from markovscope.channels import ChannelMatrix, OperatorBasis, verify_channel
 from markovscope.io import channel_to_dict, load_channel, save_channel
 from markovscope.zoo import (
     dephasing_channel,
@@ -200,6 +201,26 @@ def test_scan_rejects_bad_grid(capsys):
     )
     assert code == 1
     assert "error:" in err
+
+
+def test_scan_grid_row_bound(monkeypatch):
+    monkeypatch.setattr(cli, "MAX_SCAN_ROWS", 5)
+    assert cli._scan_grid(0.0, 1.0, 0.25) == [0.0, 0.25, 0.5, 0.75, 1.0]
+    with pytest.raises(errors.ParseError, match="more than 5 rows"):
+        cli._scan_grid(0.0, 1.25, 0.25)
+
+
+def test_each_channel_is_validated_once(capsys):
+    # markovian_check validates; the TD column reuses that validation
+    with mock.patch("markovscope.decision.verify_channel", wraps=verify_channel) as mk, \
+            mock.patch("markovscope.qubit.verify_channel", wraps=verify_channel) as td:
+        code, out, _ = run_cli(
+            capsys, ["scan", "--model", "jc", "--start", "0.5", "--stop", "1.5", "--step", "0.5"]
+        )
+        assert code == 0 and len(out.strip().splitlines()) == 4
+        assert mk.call_count + td.call_count == 3
+        cli.sample_fractions(2, 4, 11)
+        assert mk.call_count + td.call_count == 3 + 4
 
 
 def test_scan_needs_sweep_param(capsys):
@@ -390,6 +411,10 @@ def test_exit_not_a_channel(tmp_path, capsys):
         # a map on 1 x 1 matrices; at the parent a numpy traceback
         ["check", "ONE"],
         ["measure", "ONE"],
+        # the row count overflows (at the parent an OverflowError traceback)
+        ["scan", "--model", "dephasing", "--start=-1e308", "--stop=1e308", "--step=1"],
+        # 10^12 rows (at the parent a list that grew until memory ran out)
+        ["scan", "--model", "dephasing", "--start", "0", "--stop", "1", "--step", "1e-12"],
     ],
 )
 def test_invalid_inputs_exit_1(argv, tmp_path, capsys):

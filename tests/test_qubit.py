@@ -24,6 +24,16 @@ COMPLEX_SPECTRUM_MAP = np.array([
 ])
 
 
+def _amplitude_damping(g):
+    M = np.array([
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, g, 0.0, 0.0],
+        [0.0, 0.0, g, 0.0],
+        [1.0 - g * g, 0.0, 0.0, g * g],
+    ])
+    return ChannelMatrix(M, OperatorBasis.pauli())
+
+
 def test_identity_values():
     lsv = lorentz_singular_values(ChannelMatrix(np.eye(4), OperatorBasis.matrix_units(2)))
     assert np.abs(np.array(lsv.s) - 1.0).max() < 1e-12
@@ -48,13 +58,7 @@ def test_decay_channel_sits_on_the_boundary():
     # the x, y, z contractions of a decay semigroup element hit the
     # divisibility bound with equality and all four values coincide
     g = 0.8
-    M = np.array([
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, g, 0.0, 0.0],
-        [0.0, 0.0, g, 0.0],
-        [1.0 - g * g, 0.0, 0.0, g * g],
-    ])
-    T = ChannelMatrix(M, OperatorBasis.pauli())
+    T = _amplitude_damping(g)
     lsv = lorentz_singular_values(T)
     assert np.abs(np.array(lsv.s) - g).max() < 1e-12
     assert abs(lsv.det_T - g ** 4) < 1e-14
@@ -68,13 +72,7 @@ def test_strong_amplitude_damping_is_td_markovian():
     # det T = g^4 = 1e-12 is tiny but far above the rounding of a 4x4
     # determinant; an absolute threshold of 1e-9 reported it as not positive
     g = 1e-3
-    M = np.array([
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, g, 0.0, 0.0],
-        [0.0, 0.0, g, 0.0],
-        [1.0 - g * g, 0.0, 0.0, g * g],
-    ])
-    T = ChannelMatrix(M, OperatorBasis.pauli())
+    T = _amplitude_damping(g)
     assert markovian_check(T).verdict is Verdict.MARKOVIAN
     rep = td_markovian_check(T)
     assert abs(rep.s.det_T - 1e-12) < 1e-24
@@ -149,3 +147,46 @@ def test_report_carries_sorted_values():
     s = np.array(rep.s.s)
     assert np.all(np.diff(s) <= 1e-15)
     assert np.all(s >= 0.0)
+
+
+def _rotation(seed):
+    q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    M = np.eye(4)
+    M[1:, 1:] = q * np.linalg.det(q)
+    return M
+
+
+# a singular Pauli channel between two rotations: the computed det T is
+# rounding, of order 1e-18 against a rounding level of about 1e-16
+_ROUNDING_DET = ChannelMatrix(
+    _rotation(1) @ np.diag([1.0, 0.0, 0.5, 0.5]) @ _rotation(2), OperatorBasis.pauli()
+)
+
+
+@pytest.mark.parametrize(
+    "T, td",
+    [
+        (rabi_unitary(0.7), True),
+        (dephasing_channel(1.0), True),
+        (transpose_approximation(), False),  # det < 0
+        (_amplitude_damping(0.8), True),
+        (_amplitude_damping(1e-3), True),
+        # the reset channel: det T = 0 = its rounding level
+        (_amplitude_damping(0.0), False),
+        (_ROUNDING_DET, False),
+        # of these twelve only seed 6 is TD-Markovian
+        *((random_channel(2, seed), seed == 6) for seed in range(12)),
+    ],
+)
+def test_criterion_property_matches_the_check(T, td):
+    lsv, rep = lorentz_singular_values(T), td_markovian_check(T)
+    assert lsv.td_markovian is rep.td_markovian is td
+    assert rep.s == lsv
+
+
+@pytest.mark.parametrize("T", [_amplitude_damping(0.0), _ROUNDING_DET])
+def test_determinant_at_rounding_is_not_td_markovian(T):
+    lsv = lorentz_singular_values(T)
+    assert abs(lsv.det_T) <= lsv.det_rounding
+    assert not lsv.td_markovian
