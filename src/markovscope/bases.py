@@ -2,12 +2,14 @@
 the maximally entangled vector, and the isometry onto its orthocomplement.
 
 Vectorization is row-major throughout: vec(rho)[i*d + j] = rho[i, j], so the
-matrix-unit basis element at position i*d + j is |i><j|.
+matrix-unit basis element at position i*d + j is |i><j|.  The Hermitian
+basis of hermitian_transform carries the one Hermiticity test: a map
+preserves Hermiticity exactly when its matrix in that basis is real, in
+whichever basis it was given.
 """
 from __future__ import annotations
 
 import itertools
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -29,29 +31,14 @@ def unvec(v: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def flip_operator(d: int) -> np.ndarray:
-    """Swap on the doubled space: F |a,b> = |b,a>.
-
-    In the matrix-unit basis, Hermiticity preservation of a map reads
-    F T F = conj(T).
-    """
+    """Swap on the doubled space: F |a,b> = |b,a>.  As a matrix-unit
+    transfer matrix it is the transpose map."""
     F = np.zeros((d * d, d * d))
     for a in range(d):
         for b in range(d):
             F[b * d + a, a * d + b] = 1.0
     F.setflags(write=False)
     return F
-
-
-def flip_conjugate(X: np.ndarray) -> np.ndarray:
-    """F conj(X) F for a d^2 x d^2 matrix X, with F = flip_operator(d),
-    taken as the exact index permutation <a,b|.|c,d> -> <b,a|.|d,c>.
-
-    A map preserves Hermiticity exactly when its matrix-unit transfer matrix
-    is its own flip conjugate, and then the projectors of conjugate
-    eigenvalue clusters are flip conjugates of each other.
-    """
-    d = math.isqrt(X.shape[0])
-    return X.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(X.shape).conj()
 
 
 @lru_cache(maxsize=None)

@@ -24,12 +24,14 @@ conventions drop.  For a trace-preserving map the partial trace of the Choi
 matrix over the first tensor factor is the identity, and complete positivity
 is positive semidefiniteness of the Choi matrix.
 
-Hermiticity preservation reads F T-hat F = conj(T-hat) in the matrix-unit
-basis, with F the flip permutation F|a,b> = |b,a>.  In the Hermitian basis of
-U = hermitian_transform(d) (T_herm = U T_mu U^dag; at d = 2 the normalized
-Pauli basis {1, sigma_x, sigma_y, sigma_z}/sqrt(2)) the same condition is
-simply that the matrix is real, and real_form(T) is that real matrix, behind
-the one Hermiticity gate.  Entries must be finite (RangeError otherwise).
+Hermiticity preservation is one test in every basis: the map's matrix in
+the Hermitian basis of U = hermitian_transform(d) (T_herm = U T_mu U^dag; at
+d = 2 the normalized Pauli basis {1, sigma_x, sigma_y, sigma_z}/sqrt(2)) must
+be real.  hermitian_basis_matrix(T) is that matrix, hermiticity_violation its
+largest imaginary entry, and real_form(T) its real part, behind the one
+Hermiticity gate.  (In matrix units the same condition reads F T-hat F =
+conj(T-hat), with F the flip permutation F|a,b> = |b,a>.)  Entries must be
+finite (RangeError otherwise).
 """
 from __future__ import annotations
 
@@ -39,7 +41,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bases import flip_conjugate, hermitian_transform, omega_vector, readonly, sup_norm, unvec, vec
+from .bases import hermitian_transform, omega_vector, readonly, sup_norm, unvec, vec
 from .config import check_tolerance
 from .errors import (
     DimensionMismatch,
@@ -243,27 +245,32 @@ class ChannelReport:
             )
 
 
-def hermiticity_violation(T: ChannelMatrix) -> float:
-    """Distance from Hermiticity preservation, in the native basis: the
-    largest imaginary entry (Pauli) or the sup norm of F conj(T) F - T
-    (matrix units, see flip_conjugate).  The two tests are equivalent."""
+def hermitian_basis_matrix(T: ChannelMatrix) -> np.ndarray:
+    """The matrix of T in the basis of hermitian_transform(d): the entries
+    of a Pauli-basis T, U M U^dag for a matrix-unit one.  T preserves
+    Hermiticity exactly when this matrix is real."""
     if T.basis.tag is BasisTag.PAULI_NORMALIZED:
-        return sup_norm(T.entries.imag)
-    return sup_norm(flip_conjugate(T.entries) - T.entries)
+        return T.entries
+    U = hermitian_transform(T.d)
+    return U @ T.entries @ U.conj().T
+
+
+def hermiticity_violation(T: ChannelMatrix) -> float:
+    """Distance from Hermiticity preservation: the largest imaginary entry
+    of hermitian_basis_matrix(T), the same test in either basis."""
+    return sup_norm(hermitian_basis_matrix(T).imag)
 
 
 def real_form(T: ChannelMatrix, what: str) -> np.ndarray:
-    """The real matrix of T in the basis of hermitian_transform(d): Re(T)
-    for a Pauli-basis T, Re(U M U^dag) for a matrix-unit one.  Raises
-    NotHermiticityPreserving, with the message what, unless T preserves
-    Hermiticity within the check tolerance scaled to its largest entry."""
-    viol = hermiticity_violation(T)
-    if not viol <= check_tolerance(sup_norm(T.entries)):
+    """The real part of hermitian_basis_matrix(T).  Raises
+    NotHermiticityPreserving, with the message what, unless its largest
+    imaginary entry is within the check tolerance scaled to its largest
+    entry."""
+    M = hermitian_basis_matrix(T)
+    viol = sup_norm(M.imag)
+    if not viol <= check_tolerance(sup_norm(M)):
         raise NotHermiticityPreserving(f"{what} (violation {viol:.3e})")
-    if T.basis.tag is BasisTag.PAULI_NORMALIZED:
-        return T.entries.real
-    U = hermitian_transform(T.d)
-    return (U @ T.entries @ U.conj().T).real
+    return M.real
 
 
 def trace_violation(M: np.ndarray) -> float:
@@ -276,13 +283,15 @@ def trace_violation(M: np.ndarray) -> float:
 def verify_channel(T: ChannelMatrix) -> ChannelReport:
     """Check the three channel properties and report numeric witnesses.
 
-    The tolerance is config.check_tolerance of the largest entry of the
-    matrix: 1e-9 relative (floored at 1e-9 absolute), or MARKOVSCOPE_TOL in
-    place of 1e-9 when that is set, e.g. to accept a noisy tomography
+    The tolerance is config.check_tolerance of the largest entry of
+    hermitian_basis_matrix(T), so it does not depend on the basis T is
+    given in: 1e-9 relative (floored at 1e-9 absolute), or MARKOVSCOPE_TOL
+    in place of 1e-9 when that is set, e.g. to accept a noisy tomography
     estimate.  markovian_check and the other gates use the same value.
     """
-    eps = check_tolerance(sup_norm(T.entries))
-    hp_viol = hermiticity_violation(T)
+    H = hermitian_basis_matrix(T)
+    eps = check_tolerance(sup_norm(H))
+    hp_viol = sup_norm(H.imag)
 
     Tmu = as_matrix_units(T)
     tp_viol = trace_violation(Tmu.entries)

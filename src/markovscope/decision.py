@@ -6,9 +6,11 @@ one by winding terms on the complex eigenvalue pairs, and only the
 conditional-complete-positivity test depends on the branch.  Compressing the
 relevant Choi-type matrices once to the complement of the entangled vector,
 
-    A_0 = compress(L_0^Gamma),   A_c = compress((2 pi i (P_c - F conj(P_c) F))^Gamma),
+    A_0 = compress(L_0^Gamma),   A_c = compress((U^dag (-4 pi Im(P_c)) U)^Gamma),
 
-turns the branch search into integer optimization of the concave function
+with P_c the projector of the upper member of pair c in the Hermitian basis
+of U = hermitian_transform(d) (spectral.branch_shifts), turns the branch
+search into integer optimization of the concave function
 f(m) = lambda_min(A_0 + sum_c m_c A_c).  For any unit vector v,
 f(m) <= v^dag A(m) v, which is linear in m, so the minimum eigenvectors of
 evaluated branches bound f everywhere; the search skips every branch whose

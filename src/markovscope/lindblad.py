@@ -45,7 +45,7 @@ from .channels import (
     OperatorBasis,
     _square_side,
     as_matrix_units,
-    hermiticity_violation,
+    hermitian_basis_matrix,
     involution_gamma,
     real_form,
 )
@@ -53,17 +53,6 @@ from .config import JUMP_RATE_CUTOFF, KAPPA_SLACK, REBUILD_RESIDUAL_TOL, check_t
 from .errors import InvalidForm, NotAGenerator, RangeError, StepFailure
 
 STEP_TOL = 1e-8
-
-# Jump-basis elements for d = 2 written over the Paulis: J_a = sum_k S[a,k] sigma_k.
-_JUMP_TO_PAULI = np.array(
-    [
-        [0.5, 0.5j, 0.0],
-        [0.5, -0.5j, 0.0],
-        [0.0, 0.0, 1.0 / np.sqrt(2)],
-    ],
-    dtype=complex,
-)
-
 
 class GeneratorMatrix(ChannelMatrix):
     """A candidate generator; whether it is valid is a checked property, not
@@ -208,9 +197,11 @@ class GeneratorReport:
 
 def is_lindblad_generator(L: GeneratorMatrix) -> GeneratorReport:
     """The three-part validity test for semigroup generators, each part
-    within the check tolerance scaled to the largest entry of L."""
-    eps = check_tolerance(sup_norm(L.entries))
-    hp_viol = hermiticity_violation(L)
+    within the check tolerance scaled to the largest entry of
+    hermitian_basis_matrix(L), which also gives the Hermiticity test."""
+    H = hermitian_basis_matrix(L)
+    eps = check_tolerance(sup_norm(H))
+    hp_viol = sup_norm(H.imag)
     hermitian = hp_viol <= eps
 
     Lmu = as_matrix_units(L).entries
@@ -273,12 +264,12 @@ def lindblad_decompose(L: GeneratorMatrix) -> LindbladForm:
     H = (kappa - kappa.conj().T) / 2j
     H = (H + H.conj().T) / 2
 
-    if d == 2:
-        S = _JUMP_TO_PAULI
-        G = S.T @ Gj @ S.conj()
-        G = (G + G.conj().T) / 2
-    else:
-        G = Gj
+    # Gj refers to jump_basis(d); J_a = sum_k S[a, k] F_k over F = trace_basis(d)
+    J = np.reshape(jump_basis(d), (d * d - 1, d * d))
+    F = np.reshape(trace_basis(d), (d * d - 1, d * d))
+    S = (J @ F.conj().T) / np.sum(np.abs(F) ** 2, axis=1)
+    G = S.T @ Gj @ S.conj()
+    G = (G + G.conj().T) / 2
 
     form = LindbladForm(H=H, G=G, kappa=kappa)
     resid = sup_norm(generator_from_form(form).entries - Lmu)
@@ -336,16 +327,9 @@ def evolve_time_dependent(
         raise RangeError(f"dt_max must be finite and positive, got {dt_max}")
     if not 0 <= t_final < math.inf:
         raise RangeError(f"t_final must be finite and nonnegative, got {t_final}")
-    M0, basis = _rate_entries(rates(0.0))
-    n_side = M0.shape[0]
-    d = int(round(math.sqrt(n_side)))
-    basis = basis or OperatorBasis.matrix_units(d)
-    if t_final == 0:
-        return ChannelMatrix(np.eye(n_side, dtype=complex), basis)
-
     n = max(1, math.ceil(t_final / dt_max))
-    prev, basis_seen = _ordered_product(rates, t_final, n)
-    basis = basis_seen or basis
+    prev, basis = _ordered_product(rates, t_final, n)
+    basis = basis or OperatorBasis.matrix_units(_square_side(prev))
     while True:
         n *= 2
         if n > max_steps:

@@ -24,9 +24,11 @@ from markovscope.channels import (
     choi_of,
     compose,
     determinant,
+    hermiticity_violation,
     involution_gamma,
     kraus_from_choi,
     mix,
+    real_form,
     transfer_from_kraus,
     verify_channel,
 )
@@ -38,7 +40,14 @@ from markovscope.errors import (
     NotHermiticityPreserving,
     RangeError,
 )
-from markovscope.lindblad import GeneratorMatrix, LindbladForm, ccp_block, evolve, evolve_time_dependent
+from markovscope.lindblad import (
+    GeneratorMatrix,
+    LindbladForm,
+    ccp_block,
+    evolve,
+    evolve_time_dependent,
+    is_lindblad_generator,
+)
 from markovscope.qubit import td_markovian_check
 from markovscope.zoo import dephasing_channel, random_channel, random_lindblad, transpose_approximation
 
@@ -315,3 +324,67 @@ def test_non_finite_input_is_a_range_error(build):
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(RangeError):
             build()
+
+
+# A 6e-10 imaginary defect on the sigma_x and sigma_y diagonal entries of a
+# Pauli-basis dephasing channel: a flip test F conj(M) F - M on the
+# matrix-unit copy reads 1.2e-9, twice the Pauli value, and would reject
+# that copy alone.  CI writes this map to a file in each basis.
+_FLIP_DOUBLED = dephasing_channel(1.0).entries + 6e-10j * np.diag([0.0, 1.0, 1.0, 0.0])
+
+
+def _defective_pauli_entries(clean, rng):
+    """clean, a real Pauli-basis matrix, plus an imaginary defect whose
+    largest entry lies between 1e-10 and 1e-8 times max(1, sup|clean|)."""
+    size = 10 ** rng.uniform(-10, -8) * max(1.0, np.abs(clean).max())
+    return clean + 1j * size * rng.uniform(-1.0, 1.0, clean.shape)
+
+
+def _both_bases(E, kind):
+    P = kind(E, OperatorBasis.pauli())
+    M = kind(change_basis(P, OperatorBasis.matrix_units(2)).entries, OperatorBasis.matrix_units(2))
+    return P, M
+
+
+def _real_form_passes_in_both(P, M):
+    """Whether real_form accepts the two copies, which must agree, as must
+    their Hermiticity violations up to rounding."""
+    assert abs(hermiticity_violation(P) - hermiticity_violation(M)) <= 1e-14
+    passed = []
+    for T in (P, M):
+        try:
+            real_form(T, "test")
+            passed.append(True)
+        except NotHermiticityPreserving:
+            passed.append(False)
+    assert passed[0] == passed[1]
+    return passed[0]
+
+
+def test_channel_validation_is_the_same_in_either_basis():
+    rng = np.random.default_rng(19)
+    clean = [change_basis(random_channel(2, k), OperatorBasis.pauli()).entries.real for k in range(200)]
+    maps = [_FLIP_DOUBLED] + [_defective_pauli_entries(R, rng) for R in clean]
+    seen = set()
+    for E in maps:
+        P, M = _both_bases(E, ChannelMatrix)
+        rp, rm = verify_channel(P), verify_channel(M)
+        assert rp.hermiticity_preserving == rm.hermiticity_preserving
+        assert abs(rp.tolerance - rm.tolerance) <= 1e-24
+        assert _real_form_passes_in_both(P, M) == rp.hermiticity_preserving
+        seen.add(rp.hermiticity_preserving)
+    assert seen == {True, False}  # the defects span the gate
+
+
+def test_generator_validation_is_the_same_in_either_basis():
+    rng = np.random.default_rng(19)
+    seen = set()
+    for k in range(200):
+        L = random_lindblad(2, k)
+        E = _defective_pauli_entries(change_basis(L, OperatorBasis.pauli()).entries.real, rng)
+        P, M = _both_bases(E, GeneratorMatrix)
+        hp, hm = is_lindblad_generator(P).hermitian, is_lindblad_generator(M).hermitian
+        assert hp == hm
+        assert _real_form_passes_in_both(P, M) == hp
+        seen.add(hp)
+    assert seen == {True, False}

@@ -434,7 +434,7 @@ def test_check_tolerance_setting_reaches_channel_validation(monkeypatch):
 )
 def test_hermiticity_noise_admitted_by_the_tolerance_is_projected_out(T, mu_clean, monkeypatch):
     # a 1e-6 Hermiticity defect passes validation under MARKOVSCOPE_TOL=1e-3;
-    # eigendecompose then works on the flip-symmetric part of the map
+    # eigendecompose then works on the real part of its Hermitian-basis matrix
     monkeypatch.setenv("MARKOVSCOPE_TOL", "1e-3")
     M = as_matrix_units(T).entries.copy()
     M[1, 2] += 1e-6j

@@ -1,9 +1,23 @@
 import json
+import os
+import tempfile
+from contextlib import redirect_stdout
+from io import StringIO
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from markovscope.channels import as_matrix_units, choi_of, kraus_from_choi, verify_channel
+from markovscope import cli
+from markovscope.channels import (
+    BasisTag,
+    OperatorBasis,
+    change_basis,
+    choi_of,
+    kraus_from_choi,
+    verify_channel,
+)
 from markovscope.decision import markovian_check
 from markovscope.errors import ParseError
 from markovscope.io import (
@@ -19,7 +33,7 @@ from markovscope.io import (
     spectral_to_dict,
     td_report_to_dict,
 )
-from markovscope.lindblad import GeneratorMatrix
+from markovscope.lindblad import GeneratorMatrix, evolve
 from markovscope.qubit import td_markovian_check
 from markovscope.spectral import eigendecompose
 from markovscope.zoo import (
@@ -47,13 +61,39 @@ def test_matrix_json_rejects_bad_entries():
         matrix_from_json([[[1.0, 0.0]]], 2, "test")     # wrong shape
 
 
-def test_channel_file_round_trip(tmp_path):
-    T = random_channel(3, 20)
-    path = tmp_path / "chan.json"
-    save_channel(T, str(path))
-    back = load_channel(str(path))
-    assert back.d == 3
-    assert np.abs(back.entries - T.entries).max() == 0.0
+# random channels (mostly without a Hermitian logarithm) and semigroup
+# snapshots exp(L/2) (Markovian), at every dimension the file format serves
+_channels = st.builds(
+    lambda d, seed, semigroup: (
+        evolve(random_lindblad(d, seed), 0.5) if semigroup else random_channel(d, seed)
+    ),
+    d=st.sampled_from([2, 3, 4]),
+    seed=st.integers(0, 2**31 - 1),
+    semigroup=st.booleans(),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(T=_channels, form=st.sampled_from(["matrix_units", "pauli", "choi"]))
+def test_channel_file_round_trip(T, form):
+    assume(form != "pauli" or T.d == 2)  # the Pauli basis exists only for qubits
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "chan.json")
+        if form == "choi":
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(choi_to_dict(choi_of(T)), fh)
+        else:
+            T = change_basis(T, OperatorBasis(BasisTag(form), T.d))
+            save_channel(T, path)
+        back = load_channel(path)
+        assert back.basis == T.basis
+        assert back.entries.tobytes() == T.entries.tobytes()
+
+        out = StringIO()
+        with redirect_stdout(out):
+            assert cli.main(["check", path, "--json"]) == 0
+    expected = json.loads(json.dumps(report_to_dict(markovian_check(T))))
+    assert json.loads(out.getvalue()) == expected
 
 
 def test_pauli_transfer_round_trip():

@@ -130,8 +130,8 @@ def test_ccp_test_requires_hermiticity_preservation():
 def test_decompose_round_trip_random():
     rng = np.random.default_rng(8)
     worst = 0.0
-    for k in range(12):
-        d = 2 if k % 2 == 0 else 3
+    for k in range(18):
+        d = (2, 3, 4)[k % 3]
         L = random_lindblad(d, int(rng.integers(1 << 30)), scale=1.0)
         form = lindblad_decompose(L)
         L2 = generator_from_form(form)
@@ -160,6 +160,10 @@ def test_ordered_product_constant_rate_matches_evolve():
     T1 = evolve_time_dependent(lambda s: L, 1.3, dt_max=0.1)
     T2 = evolve(L, 1.3)
     assert np.abs(T1.entries - T2.entries).max() < 1e-9
+    # no time: the same product of zero steps is the identity, bit for bit
+    T0 = evolve_time_dependent(lambda s: L, 0.0, dt_max=0.1)
+    assert T0.basis == L.basis
+    assert T0.entries.tobytes() == np.eye(4, dtype=complex).tobytes()
 
 
 def test_ordered_product_matches_closed_form_decay():
