@@ -32,9 +32,15 @@ largest imaginary entry, and real_form(T) its real part, behind the one
 Hermiticity gate.  (In matrix units the same condition reads F T-hat F =
 conj(T-hat), with F the flip permutation F|a,b> = |b,a>.)  Entries must be
 finite (RangeError otherwise).
+
+A ChannelStack holds n maps of one dimension as one (n, d^2, d^2) array, for
+the stacked decision stages.  It computes its Hermitian-basis matrices once;
+verify_channel, real_form and trace_violation take a stack as well as one
+map, and give one value per member.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
@@ -125,6 +131,53 @@ class ChannelMatrix:
     @property
     def d(self) -> int:
         return self.basis.dimension
+
+
+@dataclass(frozen=True)
+class ChannelStack:
+    """n >= 1 maps of one dimension stacked as one (n, d^2, d^2) array in
+    one operator basis.  hermitian is hermitian_basis_matrix of the stack,
+    computed once at construction and shared by every stage that needs it:
+    validation, the spectral stage and the Lorentz values."""
+
+    entries: np.ndarray
+    basis: OperatorBasis
+    hermitian: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        M = readonly(self.entries)
+        if M.ndim != 3 or not len(M):
+            raise DimensionMismatch(f"a stack has shape (n >= 1, d^2, d^2), got {M.shape}")
+        if not np.isfinite(M).all():
+            raise RangeError("a map must have finite entries")
+        if _square_side(M[0]) != self.basis.dimension:
+            raise DimensionMismatch(
+                f"matrices are {M.shape[1]}x{M.shape[1]} but basis has d = {self.basis.dimension}"
+            )
+        object.__setattr__(self, "entries", M)
+        H = hermitian_basis_matrix(self)
+        H.flags.writeable = False
+        object.__setattr__(self, "hermitian", H)
+
+    @classmethod
+    def of(cls, T: ChannelMatrix) -> "ChannelStack":
+        """The stack whose one member is T."""
+        return cls(T.entries[None], T.basis)
+
+    @property
+    def d(self) -> int:
+        return self.basis.dimension
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __getitem__(self, key: slice) -> "ChannelStack":
+        """The members in the slice key, sharing these Hermitian-basis
+        matrices."""
+        part = copy.copy(self)
+        object.__setattr__(part, "entries", self.entries[key])
+        object.__setattr__(part, "hermitian", self.hermitian[key])
+        return part
 
 
 @dataclass(frozen=True)
@@ -221,34 +274,52 @@ def choi_of(T: ChannelMatrix) -> ChoiMatrix:
 
 @dataclass(frozen=True)
 class ChannelReport:
-    hermiticity_preserving: bool
-    trace_preserving: bool
-    completely_positive: bool
-    min_choi_eigenvalue: float
-    hermiticity_violation: float
-    trace_violation: float
-    tolerance: float
+    """The three channel properties and their numeric witnesses: one value
+    each for a map, one array over the members for a ChannelStack."""
+
+    hermiticity_preserving: bool | np.ndarray
+    trace_preserving: bool | np.ndarray
+    completely_positive: bool | np.ndarray
+    min_choi_eigenvalue: float | np.ndarray
+    hermiticity_violation: float | np.ndarray
+    trace_violation: float | np.ndarray
+    tolerance: float | np.ndarray
 
     @property
-    def is_channel(self) -> bool:
-        return self.hermiticity_preserving and self.trace_preserving and self.completely_positive
+    def is_channel(self) -> bool | np.ndarray:
+        return self.hermiticity_preserving & self.trace_preserving & self.completely_positive
 
     def require(self, what: str) -> None:
         """Raise NotAChannel, naming what needs a channel and the three
-        witnesses, unless the map is a channel."""
-        if not self.is_channel:
+        witnesses, unless every map is a channel; for a stack the witnesses
+        are those of the first member that is not one."""
+        ok = np.ravel(self.is_channel)
+        if not ok.all():
+            i = np.argmin(ok)  # the first False
+            hp, tp, cp, lam, hv, tv = (np.ravel(x)[i] for x in (
+                self.hermiticity_preserving, self.trace_preserving, self.completely_positive,
+                self.min_choi_eigenvalue, self.hermiticity_violation, self.trace_violation))
             raise NotAChannel(
                 f"{what} needs a channel: "
-                f"hermiticity={self.hermiticity_preserving} (viol {self.hermiticity_violation:.2e}), "
-                f"trace={self.trace_preserving} (viol {self.trace_violation:.2e}), "
-                f"cp={self.completely_positive} (min Choi eig {self.min_choi_eigenvalue:.2e})"
+                f"hermiticity={hp} (viol {hv:.2e}), "
+                f"trace={tp} (viol {tv:.2e}), "
+                f"cp={cp} (min Choi eig {lam:.2e})"
             )
 
 
-def hermitian_basis_matrix(T: ChannelMatrix) -> np.ndarray:
+def _sup_norms(M: np.ndarray) -> np.ndarray:
+    """The largest entry modulus of each matrix of a stack (or of one matrix)."""
+    return np.abs(M).max(axis=(-2, -1))
+
+
+def _dagger(M: np.ndarray) -> np.ndarray:
+    return M.conj().swapaxes(-1, -2)
+
+
+def hermitian_basis_matrix(T: ChannelMatrix | ChannelStack) -> np.ndarray:
     """The matrix of T in the basis of hermitian_transform(d): the entries
-    of a Pauli-basis T, U M U^dag for a matrix-unit one.  T preserves
-    Hermiticity exactly when this matrix is real."""
+    of a Pauli-basis T, U M U^dag for a matrix-unit one (for a stack, of
+    every member).  T preserves Hermiticity exactly when this matrix is real."""
     if T.basis.tag is BasisTag.PAULI_NORMALIZED:
         return T.entries
     U = hermitian_transform(T.d)
@@ -261,27 +332,30 @@ def hermiticity_violation(T: ChannelMatrix) -> float:
     return sup_norm(hermitian_basis_matrix(T).imag)
 
 
-def real_form(T: ChannelMatrix, what: str) -> np.ndarray:
-    """The real part of hermitian_basis_matrix(T).  Raises
-    NotHermiticityPreserving, with the message what, unless its largest
-    imaginary entry is within the check tolerance scaled to its largest
+def real_form(T: ChannelMatrix | ChannelStack, what: str) -> np.ndarray:
+    """The real part of hermitian_basis_matrix(T) (of T.hermitian for a
+    stack).  Raises NotHermiticityPreserving, with the message what and the
+    violation of the first failing member, unless the largest imaginary entry
+    of each matrix is within the check tolerance scaled to its largest
     entry."""
-    M = hermitian_basis_matrix(T)
-    viol = sup_norm(M.imag)
-    if not viol <= check_tolerance(sup_norm(M)):
-        raise NotHermiticityPreserving(f"{what} (violation {viol:.3e})")
+    M = T.hermitian if isinstance(T, ChannelStack) else hermitian_basis_matrix(T)
+    viol = _sup_norms(M.imag)
+    ok = viol <= check_tolerance(_sup_norms(M))
+    if not ok.all():
+        raise NotHermiticityPreserving(f"{what} (violation {np.ravel(viol)[~np.ravel(ok)][0]:.3e})")
     return M.real
 
 
-def trace_violation(M: np.ndarray) -> float:
-    """Distance of a matrix-unit transfer matrix from trace preservation:
-    the sup norm of M^dag omega - omega."""
-    omega = omega_vector(_square_side(M))
-    return sup_norm(M.conj().T @ omega - omega)
+def trace_violation(M: np.ndarray) -> float | np.ndarray:
+    """Distance of a matrix-unit transfer matrix (or of each matrix of a
+    stack) from trace preservation: the sup norm of M^dag omega - omega."""
+    omega = omega_vector(_square_side(M[(0,) * (M.ndim - 2)]))
+    return np.abs(_dagger(M) @ omega - omega).max(axis=-1)
 
 
-def verify_channel(T: ChannelMatrix) -> ChannelReport:
-    """Check the three channel properties and report numeric witnesses.
+def verify_channel(T: ChannelMatrix | ChannelStack) -> ChannelReport:
+    """Check the three channel properties and report numeric witnesses, for
+    one map or for every member of a stack.
 
     The tolerance is config.check_tolerance of the largest entry of
     hermitian_basis_matrix(T), so it does not depend on the basis T is
@@ -289,25 +363,24 @@ def verify_channel(T: ChannelMatrix) -> ChannelReport:
     in place of 1e-9 when that is set, e.g. to accept a noisy tomography
     estimate.  markovian_check and the other gates use the same value.
     """
-    H = hermitian_basis_matrix(T)
-    eps = check_tolerance(sup_norm(H))
-    hp_viol = sup_norm(H.imag)
+    stacked = isinstance(T, ChannelStack)
+    H = T.hermitian if stacked else hermitian_basis_matrix(T)
+    eps = check_tolerance(_sup_norms(H))
+    hp_viol = _sup_norms(H.imag)
 
-    Tmu = as_matrix_units(T)
-    tp_viol = trace_violation(Tmu.entries)
+    Tmu = T.entries
+    if T.basis.tag is not BasisTag.MATRIX_UNITS:
+        U = hermitian_transform(T.d)
+        Tmu = U.conj().T @ Tmu @ U  # change_basis, for a stack as well
+    tp_viol = trace_violation(Tmu)
 
-    C = involution_gamma(Tmu.entries)
-    lam_min = float(np.linalg.eigvalsh((C + C.conj().T) / 2).min())
+    C = involution_gamma(Tmu)
+    lam_min = np.linalg.eigvalsh((C + _dagger(C)) / 2).min(axis=-1)
 
-    return ChannelReport(
-        hermiticity_preserving=hp_viol <= eps,
-        trace_preserving=tp_viol <= eps,
-        completely_positive=lam_min >= -eps,
-        min_choi_eigenvalue=lam_min,
-        hermiticity_violation=float(hp_viol),
-        trace_violation=float(tp_viol),
-        tolerance=float(eps),
-    )
+    flags, values = (hp_viol <= eps, tp_viol <= eps, lam_min >= -eps), (lam_min, hp_viol, tp_viol, eps)
+    if not stacked:
+        flags, values = map(bool, flags), map(float, values)
+    return ChannelReport(*flags, *values)
 
 
 def compose(T2: ChannelMatrix, T1: ChannelMatrix) -> ChannelMatrix:

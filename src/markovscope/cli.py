@@ -16,8 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import ChannelMatrix, determinant
-from .decision import Verdict, markovian_check
+from .channels import ChannelMatrix, ChannelStack, OperatorBasis, determinant
+from .decision import Verdict, chunk_size, markovian_check, markovian_checks
 from .errors import MarkovscopeError, ParseError, RangeError
 from .io import (
     channel_to_dict,
@@ -34,7 +34,7 @@ from .zoo import (
     figure2a_mixture,
     jc_channel,
     rabi_unitary,
-    random_channel,
+    random_channels,
     transpose_approximation,
 )
 
@@ -216,21 +216,25 @@ def sample_fractions(d: int, n: int, seed: int) -> dict:
     """Monte Carlo fractions of Markovian and TD-Markovian channels.
 
     Each sample gets its own child seed from one seed sequence, so the result
-    depends only on (d, n, seed).
+    depends only on (d, n, seed).  The channels are drawn, decided and (for
+    qubits) put through the Lorentz criterion chunk_size(d) at a time, as
+    one ChannelStack whose Hermitian-basis matrices all three share.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise RangeError(f"need an integer number of samples >= 1, got n = {n!r}")
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise RangeError(f"seed must be an integer >= 0, got {seed!r}")
+    seeds = np.random.SeedSequence(seed).generate_state(n, dtype=np.uint64).tolist()
+    basis, size = OperatorBasis.matrix_units(d), chunk_size(d)
     n_mk = n_td = n_mk_not_td = 0
-    for s in np.random.SeedSequence(seed).generate_state(n, dtype=np.uint64):
-        T = random_channel(d, int(s))
-        mk = markovian_check(T).verdict is Verdict.MARKOVIAN
-        n_mk += mk
+    for start in range(0, n, size):
+        T = ChannelStack(random_channels(d, seeds[start:start + size]), basis)
+        mk = np.array([r.verdict is Verdict.MARKOVIAN for r in markovian_checks(T)])
+        n_mk += int(mk.sum())
         if d == 2:
-            td = lorentz_singular_values(T).td_markovian  # T validated by markovian_check
-            n_td += td
-            n_mk_not_td += mk and not td
+            td = lorentz_singular_values(T).td_markovian  # T validated by markovian_checks
+            n_td += int(td.sum())
+            n_mk_not_td += int((mk & ~td).sum())
     if d == 2:
         td_frac, mk_not_td_frac = n_td / n, n_mk_not_td / n
     else:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
+
 from .errors import ParseError
 
 # base tolerance for hermiticity / trace-preservation / positivity checks,
@@ -47,9 +49,10 @@ ZERO_SLACK = 64
 JUMP_RATE_CUTOFF = 1e-12
 
 
-def check_tolerance(norm: float) -> float:
+def check_tolerance(norm):
     """The base check tolerance (MARKOVSCOPE_TOL if set, else CHECK_TOL)
-    scaled to a matrix of the given sup norm."""
+    scaled to a matrix of the given sup norm, or elementwise to an array of
+    sup norms."""
     env = os.environ.get("MARKOVSCOPE_TOL")
     try:
         base = CHECK_TOL if env is None else float(env)
@@ -57,4 +60,4 @@ def check_tolerance(norm: float) -> float:
         base = 0.0
     if not 0.0 < base < float("inf"):  # also rejects nan
         raise ParseError(f"MARKOVSCOPE_TOL must be a finite positive number, got {env!r}")
-    return base * max(1.0, norm)
+    return base * (np.maximum(1.0, norm) if isinstance(norm, np.ndarray) else max(1.0, norm))

@@ -27,6 +27,19 @@ when the negative eigenvalue has odd multiplicity, since at even multiplicity
 real logarithms can exist (Culver 1966) and are not yet searched.  A spectrum
 that cannot be decided is UNSUPPORTED_SPECTRUM, with the reason in the
 diagnostics.
+
+The decision runs on a chunk of maps of one dimension at a time, stacked as
+(n, d^2, d^2) arrays (channels.ChannelStack): validation, the spectral stage
+(spectral._decompose), the principal log and its expm check, compression,
+and the branch search, with one eigvalsh call for every member whose box
+fits one SEARCH_BLOCK and branch_search per member otherwise.  A chunk holds
+chunk_size(d) maps, at most CHUNK_ENTRIES projector entries.  A member with
+a zero or negative real cluster gets its verdict in the stack; a member
+that fails any other check is left out and run again alone, through the
+same code, where the check raises its exception with its own message and
+_PRE_SEARCH_VERDICTS gives the verdict.  markovian_check is the one-member
+case: every stage is written once, and a member's report does not depend on
+the chunk it is decided in.
 """
 from __future__ import annotations
 
@@ -38,7 +51,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bases import readonly
-from .channels import ChannelMatrix, involution_gamma, verify_channel
+from .channels import ChannelMatrix, ChannelStack, involution_gamma, verify_channel
 from .config import COMPRESSION_RESIDUAL_TOL, CUT_SLACK, MARKOV_TOL
 from .errors import (
     DefectiveMatrix,
@@ -47,7 +60,17 @@ from .errors import (
     SingularChannel,
 )
 from .lindblad import ccp_block
-from .spectral import SpectralData, branch_shifts, branch_sum, eigendecompose, principal_log
+from .spectral import (
+    SpectralData,
+    _branch_shifts,
+    _decompose,
+    _principal_logs,
+    _refusals,
+    _screen,
+    branch_shifts,
+    branch_sum,
+    principal_log,
+)
 
 MAX_BRANCH_CANDIDATES = 250_000
 # Branch candidates stacked into one eigvalsh call; bounds the search memory.
@@ -79,28 +102,35 @@ class MarkovReport:
     diagnostics: str
 
 
-def build_a_matrices(S: SpectralData) -> np.ndarray:
-    """Compress the principal log and the per-pair winding terms: the
-    read-only stack [A_0, A_1, ..., A_C] of shape (1 + C, k, k).
+def _compress(L0: np.ndarray, shifts: np.ndarray, solo: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Compress the principal logs L0 (n, d^2, d^2) and the winding terms
+    shifts (n, C, d^2, d^2) of n maps: the stacks [A_0, A_1, ..., A_C] of
+    shape (n, 1 + C, k, k), and the mask of the members that pass.
 
-    L_0 and the C winding terms are stacked and compressed in one pass;
-    each compressed matrix must be Hermitian to COMPRESSION_RESIDUAL_TOL of
+    Each compressed matrix must be Hermitian to COMPRESSION_RESIDUAL_TOL of
     its largest entry and is replaced by its Hermitian part.
     """
-    L = np.concatenate([principal_log(S).entries[None], branch_shifts(S)])
-    A = ccp_block(involution_gamma(L))
+    A = ccp_block(involution_gamma(np.concatenate([L0[:, None], shifts], axis=1)))
     AH = A.conj().swapaxes(-1, -2)
-    resid = np.abs(A - AH).max(axis=(1, 2))
-    bound = COMPRESSION_RESIDUAL_TOL * np.maximum(1.0, np.abs(A).max(axis=(1, 2)))
-    bad = np.flatnonzero(resid > bound)
-    if bad.size:
-        k = bad[0]
-        raise DefectiveMatrix(
+    resid = np.abs(A - AH).max(axis=(-2, -1))
+    bad = resid > COMPRESSION_RESIDUAL_TOL * np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))
+
+    def error():
+        k = int(np.flatnonzero(bad[0])[0])
+        return DefectiveMatrix(
             f"compressed {'principal log' if k == 0 else f'winding term {k - 1}'} has "
-            f"anti-Hermitian residual {resid[k]:.3e}; "
+            f"anti-Hermitian residual {resid[0, k]:.3e}; "
             "spectral projectors are too inaccurate to decide"
         )
-    return readonly((A + AH) / 2)
+
+    return (A + AH) / 2, _screen(bad.any(axis=1), solo, error)
+
+
+def build_a_matrices(S: SpectralData) -> np.ndarray:
+    """Compress the principal log and the per-pair winding terms: the
+    read-only stack [A_0, A_1, ..., A_C] of shape (1 + C, k, k), the
+    one-member case of the stacked compression."""
+    return readonly(_compress(principal_log(S).entries[None], branch_shifts(S)[None], solo=True)[0][0])
 
 
 def _int_dtype(bound: int) -> np.dtype:
@@ -186,6 +216,22 @@ def branch_search(
     return best_m, best_v, witness
 
 
+def _search_stack(A: np.ndarray, m_max: int, tols: np.ndarray) -> list[tuple]:
+    """branch_search of every stack A[i] = [A_0, ..., A_C] of A, shape
+    (n, 1 + C, k, k), whose box fits one SEARCH_BLOCK: every branch of
+    every member in one eigvalsh call.  With one block branch_search
+    evaluates every branch and makes no cut, so the results are its own."""
+    table = _branch_table(A.shape[1] - 1, m_max)
+    vals = np.linalg.eigvalsh(branch_sum(A[:, 0], A[:, 1:], table)).min(axis=-1)
+    best = vals.argmax(axis=1)
+    feasible = vals >= -tols[:, None]
+    first = feasible.argmax(axis=1)
+    return [
+        (tuple(table[b].tolist()), float(v[b]), tuple(table[f].tolist()) if ok[f] else None)
+        for v, b, ok, f in zip(vals, best, feasible, first)
+    ]
+
+
 # Every failure before the branch search, and its verdict; the exception's
 # message is the report's diagnostics.  A new reason to refuse a spectrum is
 # one row here.
@@ -196,13 +242,128 @@ _PRE_SEARCH_VERDICTS = {
     NegativeRealEigenvalue: Verdict.NO_HERMITIAN_LOG,
 }
 
+# Projector entries n (d^2)^3 in one stacked pass, which bounds its memory:
+# 64 qubit channels, 5 at d = 3 and 1 from d = 4 on.
+CHUNK_ENTRIES = 4096
+
+
+def chunk_size(d: int) -> int:
+    """The number of maps of dimension d decided in one stacked pass."""
+    return max(1, CHUNK_ENTRIES // d**6)
+
+
+def _report(d, m_max, verdict, witness, best, best_v, mu, diagnostics) -> MarkovReport:
+    return MarkovReport(
+        verdict=verdict,
+        dimension=d,
+        witness_branch=witness,
+        best_branch=best,
+        max_min_eigenvalue=best_v,
+        mu_min=mu,
+        measure=math.exp(mu * (1 - d * d)),  # exactly 1 at mu = 0 and 0 at mu = inf
+        m_max=m_max,
+        diagnostics=diagnostics,
+    )
+
+
+def _refused(d: int, m_max: int, exc: Exception) -> MarkovReport:
+    return _report(d, m_max, _PRE_SEARCH_VERDICTS[type(exc)], None, None, math.nan, math.inf, str(exc))
+
+
+def _stacked_pass(T: ChannelStack, m_max: int, tol: float | None, solo: bool) -> list:
+    """The reports of the members of T, with None for a member that fails a
+    check; a lone member raises the check's exception instead."""
+    d = T.d
+    reports: list[MarkovReport | None] = [None] * len(T)
+    # T is validated, and real_form's Hermiticity gate is verify_channel's test
+    S, ok = _decompose(T.hermitian.real, solo)
+    for j, exc in _refusals(S).items():
+        if ok[j]:
+            reports[j] = _refused(d, m_max, exc)
+            ok[j] = False
+    if not ok.any():
+        return reports
+    # the later stages run on the members left; a failed one is only left out
+    idx = np.flatnonzero(ok)
+    S = S.take(ok)
+    L0, ok = _principal_logs(S, solo)
+    A, passed = _compress(L0, _branch_shifts(S), solo)
+    ok &= passed
+    pairs = (S.pairs[:, :, 0] >= 0).sum(axis=1)
+    if tol is None:  # ||A_0||_2, the largest singular value
+        tols = MARKOV_TOL * (1.0 + np.linalg.svd(A[:, 0], compute_uv=False)[:, 0])
+    else:
+        tols = np.full(len(idx), float(tol))
+    for C in sorted(set(pairs[ok].tolist())):
+        group = np.flatnonzero(ok & (pairs == C))
+        if (2 * m_max + 1) ** C <= SEARCH_BLOCK:
+            results = _search_stack(A[group, :1 + C], m_max, tols[group])
+        else:
+            results = []
+            for j in group:
+                try:
+                    results.append(branch_search(A[j, :1 + C], m_max, tols[j]))
+                except RangeError:  # the box exceeds MAX_BRANCH_CANDIDATES
+                    if solo:
+                        raise
+                    results.append(None)
+        for j, result in zip(group, results):
+            if result is None:
+                continue
+            best, best_v, witness = result
+            if witness is not None:
+                reports[idx[j]] = _report(
+                    d, m_max, Verdict.MARKOVIAN, witness, best, best_v, 0.0,
+                    f"valid generator at branch m = {witness} "
+                    f"(searched |m|_inf <= {m_max}, {C} complex pairs)",
+                )
+            else:
+                reports[idx[j]] = _report(
+                    d, m_max, Verdict.NOT_MARKOVIAN, None, best, best_v, d * max(0.0, -best_v),
+                    f"no valid branch in |m|_inf <= {m_max} ({C} complex pairs); "
+                    f"best lambda_min = {best_v:.6e} at m = {best}",
+                )
+    return reports
+
+
+def _decide(T: ChannelStack, m_max: int, tol: float | None) -> list[MarkovReport]:
+    """The reports of one chunk: validate it, run the stacked pass, and run
+    each member that failed a check again alone, where the check raises and
+    the exception gives the verdict of _PRE_SEARCH_VERDICTS."""
+    verify_channel(T).require("markovian_check")
+    try:
+        reports = _stacked_pass(T, m_max, tol, solo=len(T) == 1)
+    except tuple(_PRE_SEARCH_VERDICTS) as exc:  # only a lone member raises
+        return [_refused(T.d, m_max, exc)]
+    return [r if r is not None else _decide(T[i:i + 1], m_max, tol)[0]
+            for i, r in enumerate(reports)]
+
+
+def markovian_checks(
+    T: ChannelStack,
+    m_max: int = 2,
+    tol: float | None = None,
+) -> list[MarkovReport]:
+    """markovian_check of every member of a stack, in order, chunk_size(d)
+    members per stacked pass.  The first member that is not a channel raises
+    the NotAChannel of markovian_check."""
+    if isinstance(m_max, bool) or not isinstance(m_max, int) or m_max < 0:
+        raise RangeError(f"m_max must be an integer >= 0, got {m_max!r}")
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise RangeError(f"tol must be None or a finite number >= 0, got {tol!r}")
+    size = chunk_size(T.d)
+    if len(T) <= size:
+        return _decide(T, m_max, tol)
+    return [r for start in range(0, len(T), size) for r in _decide(T[start:start + size], m_max, tol)]
+
 
 def markovian_check(
     T: ChannelMatrix,
     m_max: int = 2,
     tol: float | None = None,
 ) -> MarkovReport:
-    """Search the logarithm branches of a channel for a valid generator.
+    """Search the logarithm branches of a channel for a valid generator: the
+    one-member case of markovian_checks.
 
     Every dimension takes the same path: the box |m|_inf <= m_max is
     enumerated once, shell by shell (branch_search).  The best branch is the
@@ -219,44 +380,7 @@ def markovian_check(
     UNSUPPORTED_SPECTRUM, and a map without a Hermiticity-preserving
     logarithm gets the verdict of the exception principal_log raises.
     """
-    if isinstance(m_max, bool) or not isinstance(m_max, int) or m_max < 0:
-        raise RangeError(f"m_max must be an integer >= 0, got {m_max!r}")
-    if tol is not None and not (math.isfinite(tol) and tol >= 0):
-        raise RangeError(f"tol must be None or a finite number >= 0, got {tol!r}")
-    verify_channel(T).require("markovian_check")
-    d = T.d
-    best, best_v, witness = None, math.nan, None
-    try:
-        A = build_a_matrices(eigendecompose(T))
-        C = len(A) - 1
-        tol_m = tol if tol is not None else MARKOV_TOL * (1.0 + float(np.linalg.norm(A[0], 2)))
-        best, best_v, witness = branch_search(A, m_max, tol_m)
-    except tuple(_PRE_SEARCH_VERDICTS) as exc:
-        verdict, mu, diagnostics = _PRE_SEARCH_VERDICTS[type(exc)], math.inf, str(exc)
-    else:
-        if witness is not None:
-            verdict, mu = Verdict.MARKOVIAN, 0.0
-            diagnostics = (
-                f"valid generator at branch m = {witness} "
-                f"(searched |m|_inf <= {m_max}, {C} complex pairs)"
-            )
-        else:
-            verdict, mu = Verdict.NOT_MARKOVIAN, d * max(0.0, -best_v)
-            diagnostics = (
-                f"no valid branch in |m|_inf <= {m_max} ({C} complex pairs); "
-                f"best lambda_min = {best_v:.6e} at m = {best}"
-            )
-    return MarkovReport(
-        verdict=verdict,
-        dimension=d,
-        witness_branch=witness,
-        best_branch=best,
-        max_min_eigenvalue=best_v,
-        mu_min=mu,
-        measure=math.exp(mu * (1 - d * d)),  # exactly 1 at mu = 0 and 0 at mu = inf
-        m_max=m_max,
-        diagnostics=diagnostics,
-    )
+    return markovian_checks(ChannelStack.of(T), m_max, tol)[0]
 
 
 def mu_min(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelMatrix, real_form, verify_channel
+from .channels import ChannelMatrix, ChannelStack, real_form, verify_channel
 from .config import LORENTZ_IMAG_TOL
 from .errors import ComplexLorentzSpectrum, NotQubit
 
@@ -32,17 +32,19 @@ _DET_ROUNDING = 8 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class LorentzSingularValues:
-    s: tuple[float, float, float, float]
-    det_T: float
-    det_rounding: float  # a |det_T| at or below this is rounding
+    """The Lorentz singular values and det T of a qubit map; for a
+    ChannelStack, s has shape (n, 4) and the other fields shape (n,)."""
+
+    s: tuple[float, float, float, float] | np.ndarray
+    det_T: float | np.ndarray
+    det_rounding: float | np.ndarray  # a |det_T| at or below this is rounding
 
     @property
-    def td_markovian(self) -> bool:
+    def td_markovian(self) -> bool | np.ndarray:
         """det T > det_rounding and s1^2 s4^2 >= s1 s2 s3 s4 (equality counts)."""
-        if self.det_T <= self.det_rounding:
-            return False
-        s1, s2, s3, s4 = self.s
-        return s1 * s1 * s4 * s4 >= s1 * s2 * s3 * s4 - LORENTZ_IMAG_TOL
+        s1, s2, s3, s4 = self.s if isinstance(self.s, tuple) else self.s.T
+        return (self.det_T > self.det_rounding) & (
+            s1 * s1 * s4 * s4 >= s1 * s2 * s3 * s4 - LORENTZ_IMAG_TOL)
 
 
 @dataclass(frozen=True)
@@ -51,33 +53,37 @@ class TdReport:
     s: LorentzSingularValues
 
 
-def lorentz_singular_values(T: ChannelMatrix) -> LorentzSingularValues:
+def lorentz_singular_values(T: ChannelMatrix | ChannelStack) -> LorentzSingularValues:
     """Square roots of the eigenvalues of T g T' g, sorted descending, and det T
-    with its rounding level; the map is not checked to be a channel.
+    with its rounding level, for one map or every member of a stack (from
+    its shared Hermitian-basis matrices); the map is not checked to be a
+    channel.
 
     With det T at or below rounding the criterion is already decided, so
     complex or negative eigenvalues of T g T' g are then resolved best-effort
-    (real parts, clipped at zero).  Above it they are an error: the channel
-    is outside the generic family the criterion covers.
+    (real parts, clipped at zero).  Above it they are an error, raised for
+    the first such member of a stack: the channel is outside the generic
+    family the criterion covers.
     """
     if T.d != 2:
         raise NotQubit(f"the divisibility criterion is for qubits, got d = {T.d}")
     M = real_form(T, "Lorentz singular values need a Hermiticity-preserving map")
-    det_T = float(np.linalg.det(M))
-    det_rounding = float(_DET_ROUNDING * np.prod(np.linalg.norm(M, axis=0)))
-    X = M @ _G_METRIC @ M.T @ _G_METRIC
-    vals = np.linalg.eigvals(X)
+    det_T = np.linalg.det(M)
+    det_rounding = _DET_ROUNDING * np.prod(np.linalg.norm(M, axis=-2), axis=-1)
+    vals = np.linalg.eigvals(M @ _G_METRIC @ M.swapaxes(-1, -2) @ _G_METRIC)
 
-    troubled = [v for v in vals if abs(v.imag) > LORENTZ_IMAG_TOL * max(1.0, abs(v))]
-    if not troubled:
-        troubled = [v for v in vals if v.real < -LORENTZ_IMAG_TOL * max(1.0, abs(v))]
-    if troubled and det_T > det_rounding:
+    # |Im v| or -Re v beyond LORENTZ_IMAG_TOL max(1, |v|)
+    off_axis = np.maximum(np.abs(vals.imag), -vals.real) > LORENTZ_IMAG_TOL * np.maximum(1.0, np.abs(vals))
+    bad = off_axis.any(axis=-1) & (det_T > det_rounding)
+    if bad.any():
         raise ComplexLorentzSpectrum(
-            f"T g T' g has eigenvalues {np.round(vals, 9)} off the nonnegative axis "
-            "while det > 0; the criterion is undefined for this non-generic channel"
+            f"T g T' g has eigenvalues {np.round(vals.reshape(-1, 4)[np.ravel(bad)][0], 9)} off the "
+            "nonnegative axis while det > 0; the criterion is undefined for this "
+            "non-generic channel"
         )
-    s = np.sqrt(np.clip(vals.real, 0.0, None))
-    s = tuple(float(x) for x in np.sort(s)[::-1])
+    s = np.sort(np.sqrt(np.maximum(vals.real, 0.0)), axis=-1)[..., ::-1]
+    if M.ndim == 2:
+        s, det_T, det_rounding = tuple(s.tolist()), float(det_T), float(det_rounding)
     return LorentzSingularValues(s=s, det_T=det_T, det_rounding=det_rounding)
 
 

@@ -17,13 +17,25 @@ singular map admits no logarithm, and neither does a negative real
 eigenvalue of odd multiplicity.  Every negative real cluster is rejected
 here: at even multiplicity real logarithms can exist (Culver 1966) but form
 a continuous family that is not yet searched.
+
+The stages work on stacks of maps of one dimension (_Spectra): clustering and
+projectors (_decompose), the refusals of a map without a logarithm
+(_refusals), the principal log with its expm check (_principal_logs) and the
+winding terms (_branch_shifts).  eigendecompose, principal_log and
+branch_shifts are their one-member case.  A check that fails for a member of
+a stack only marks it; decision runs such a member again alone, and for a
+lone member the check raises its exception instead (_screen).  A member
+with a real spectrum gets its eigenvector arithmetic in real numbers whatever
+the stack (_own_arithmetic), so its results do not depend on the stack.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -41,6 +53,7 @@ from .config import (
 from .errors import (
     BranchLengthMismatch,
     DefectiveMatrix,
+    MarkovscopeError,
     NegativeRealEigenvalue,
     RangeError,
     SingularChannel,
@@ -90,34 +103,197 @@ class SpectralData:
         return len(self.pairs)
 
     def reconstruct(self) -> np.ndarray:
-        out = np.zeros_like(self.entries)
-        for c in self.clusters:
-            out = out + c.value * c.projector
-        return out
+        return _Spectra.of(self).reconstruct()[0]
 
     def has_kind(self, kind: ClusterKind) -> bool:
         return any(c.kind is kind for c in self.clusters)
 
 
-def _cluster_indices(vals: np.ndarray, floor: float) -> list[tuple[complex, np.ndarray]]:
-    """Groups of eigenvalues joined by chains of links, as (mean, indices)
-    pairs: indices ascending, groups by decreasing modulus, then real part,
-    then imaginary part of the mean.  Two eigenvalues are linked when their
-    gap is at most CLUSTER_TOL times the larger modulus, and every
-    eigenvalue at or below floor is linked to every other one."""
+class _Spectra(NamedTuple):
+    """The clustered spectra of n maps of one dimension, the form the
+    stacked stages work on.  Member i lists its clusters in the order of
+    SpectralData.clusters, in slots padded to one count s, and its pairs in
+    the order of SpectralData.pairs, padded to one count p:
+
+        entries         (n, k, k)     real forms, k = d^2
+        values          (n, s)        cluster values, 1 in an empty slot
+        projectors      (n, s, k, k)  projectors, 0 in an empty slot
+        multiplicities  (n, s)        as floats, 0 in an empty slot
+        zero, negative  (n, s)        ZERO and REAL_NEGATIVE clusters
+        pairs           (n, p, 2)     slots (upper, lower) of each pair, -1 past the last
+
+    A cluster in no pair that is neither zero nor negative is REAL_POSITIVE.
+    """
+
+    dimension: int
+    entries: np.ndarray
+    values: np.ndarray
+    projectors: np.ndarray
+    multiplicities: np.ndarray
+    zero: np.ndarray
+    negative: np.ndarray
+    pairs: np.ndarray
+
+    def take(self, keep: np.ndarray) -> "_Spectra":
+        """The members selected by the boolean mask or index array keep."""
+        if keep.dtype == bool and keep.all():
+            return self
+        return _Spectra(self.dimension, *(a[keep] for a in self[1:]))
+
+    def member(self, i: int) -> SpectralData:
+        pairs = tuple((int(u), int(l)) for u, l in self.pairs[i] if u >= 0)
+        in_pair = {c for pair in pairs for c in pair}
+        clusters = tuple(
+            Cluster(value=complex(self.values[i, c]), multiplicity=int(self.multiplicities[i, c]),
+                    projector=self.projectors[i, c],
+                    kind=ClusterKind.COMPLEX_PAIR_MEMBER if c in in_pair
+                    else ClusterKind.ZERO if self.zero[i, c]
+                    else ClusterKind.REAL_NEGATIVE if self.negative[i, c]
+                    else ClusterKind.REAL_POSITIVE)
+            for c in np.flatnonzero(self.multiplicities[i]).tolist()
+        )
+        return SpectralData(self.dimension, clusters, pairs, self.entries[i])
+
+    @classmethod
+    def of(cls, S: SpectralData) -> "_Spectra":
+        """The one-member stack of S."""
+        c = S.clusters
+        return cls(
+            S.dimension,
+            S.entries.real[None],
+            np.array([[x.value for x in c]], dtype=complex),
+            np.array([[x.projector for x in c]]),
+            np.array([[x.multiplicity for x in c]]),
+            np.array([[x.kind is ClusterKind.ZERO for x in c]]),
+            np.array([[x.kind is ClusterKind.REAL_NEGATIVE for x in c]]),
+            np.array(S.pairs, dtype=int).reshape(1, -1, 2),
+        )
+
+    def reconstruct(self) -> np.ndarray:
+        """sum_k lambda_k P_k of every member, summed in cluster order."""
+        return (self.values[..., None, None] * self.projectors).sum(axis=1)
+
+
+def _screen(bad: np.ndarray, solo: bool, error) -> np.ndarray:
+    """The members that pass a check, ~bad.  When the stack is one member
+    run alone and it fails, the check raises error() instead: the one-member
+    call gets the exception and the message of its check."""
+    if solo and bad[0]:
+        raise error()
+    return ~bad
+
+
+@lru_cache(maxsize=None)
+def _earlier(k: int) -> np.ndarray:
+    """[i, j] = i < j, for k eigenvalues."""
+    return np.array([[i < j for j in range(k)] for i in range(k)])
+
+
+def _own_arithmetic(f, real: np.ndarray, *arrays: np.ndarray) -> np.ndarray:
+    """f of the stacked arrays (eigenvector matrices and what is built from
+    them), for a member with a real spectrum in real arithmetic, as eig
+    gives it alone: a real SVD, inverse or product rounds unlike that of its
+    complex copy, so the result does not depend on the stack."""
+    out = f(*arrays)
+    if arrays[0].dtype.kind == "c" and real.any():
+        out[real] = f(*(a[real].real if a.dtype.kind == "c" else a[real] for a in arrays))
+    return out
+
+
+def _decompose(R: np.ndarray, solo: bool) -> tuple[_Spectra, np.ndarray]:
+    """Cluster the spectra of the real forms R, shape (n, k, k), and build
+    their projectors; returns the spectra and the mask of the members that
+    pass every check (a failed member's spectrum is meaningless).
+
+    Two eigenvalues are linked when their gap is at most CLUSTER_TOL times
+    the larger modulus, and every eigenvalue at or below the rounding floor
+    is linked to every other one; a cluster is a chain of links, labelled by
+    its first index.  Its projector is V[:, idx] @ W[idx, :], computed as
+    V diag(idx) W.  Clusters are ordered by decreasing modulus, then real
+    part, then imaginary part of their mean, ties by label.
+    """
+    n, k = R.shape[:2]
+    scale = np.maximum(1.0, np.linalg.svd(R, compute_uv=False)[:, 0])  # max(1, ||R||_2)
+    vals, V = np.linalg.eig(R)
+    real_spectrum = (vals.imag == 0).all(axis=1)
+    cond = _own_arithmetic(np.linalg.cond, real_spectrum, V)
+    ok = _screen(~(cond <= CONDITION_LIMIT), solo, lambda: DefectiveMatrix(
+        f"eigenbasis condition number {cond[0]:.3e} exceeds {CONDITION_LIMIT:.1e}; "
+        "the matrix is defective or too close to it"
+    ))
+    if not ok.all():
+        V[~ok] = np.eye(k)  # a failed member must not stop the inverse of the others
+    W = _own_arithmetic(np.linalg.inv, real_spectrum, V)
+    floor = ZERO_SLACK * np.finfo(float).eps * cond * scale
+
     mod = np.abs(vals)
-    tiny = mod <= floor
-    linked = np.abs(vals[:, None] - vals[None, :]) <= CLUSTER_TOL * np.maximum.outer(mod, mod)
-    linked |= np.outer(tiny, tiny)
-    for _ in range(vals.size.bit_length()):  # paths of up to 2^k steps after k squarings
+    tiny = mod <= floor[:, None]
+    linked = np.abs(vals[:, :, None] - vals[:, None, :]) <= (
+        CLUSTER_TOL * np.maximum(mod[:, :, None], mod[:, None, :]))
+    linked |= tiny[:, :, None] & tiny[:, None, :]
+    for _ in range((k - 1).bit_length()):  # paths of up to 2^j steps after j squarings
         linked = linked @ linked
-    groups = {row.tobytes(): np.flatnonzero(row) for row in linked}  # first-seen order
-    means = [(vals[g].mean(), g) for g in groups.values()]
-    return sorted(means, key=lambda mg: (-abs(mg[0]), -mg[0].real, -mg[0].imag))
+    # row j of linked is now the cluster of index j, labelled by its first index
+    label = linked.argmax(axis=2)
+    used = ~(linked & _earlier(k)).any(axis=1)  # j is a label: no earlier index links to it
+    count = np.where(linked, 1.0, 0.0).sum(axis=2)
+    mean = _own_arithmetic(lambda v, l: np.where(l, v[:, None, :], 0).sum(axis=2),
+                           real_spectrum, vals, linked) / count
+
+    # from here on, slot c holds the cluster labelled order[c]
+    rows = np.arange(n)[:, None]
+    order = np.lexsort((-mean.imag, -mean.real, -np.abs(mean), ~used), axis=1)
+    mean, used, count = mean[rows, order], used[rows, order], count[rows, order]
+    member = linked[rows, order] & used[:, :, None]
+    # eig lists each complex eigenvalue right before its conjugate, so a
+    # cluster in the lower half plane is the conjugate of the cluster holding
+    # the index before its label
+    lower = used & ~(member & (vals.imag >= 0)[:, None, :]).any(axis=2)
+    upper = used & ~(member & (vals.imag <= 0)[:, None, :]).any(axis=2)
+    slot = np.empty_like(order)
+    slot[rows, order] = np.arange(k)
+    partner = slot[rows, label[rows, order - 1]]
+
+    P = _own_arithmetic(lambda V, W, member: (V[:, None] * member[:, :, None, :]) @ W[:, None],
+                        real_spectrum, V, W, member)
+    resid = np.abs(P @ P - P).reshape(n, k, -1).max(axis=2)
+    bad = resid > PROJECTOR_TOL * np.maximum(1.0, np.abs(P).reshape(n, k, -1).max(axis=2))
+    ok &= _screen((bad & ~lower).any(axis=1), solo, lambda: DefectiveMatrix(
+        "a cluster projector is not idempotent; eigenvalue clustering merged a defective block"
+    ))
+
+    zero = used & ~lower & (np.abs(mean) <= floor[:, None])
+    pair = lower | upper & ~zero
+    real = used & ~pair & ~zero  # its own conjugate
+    P = np.where(real[:, :, None, None], P.real, P)
+    P = np.where(lower[:, :, None, None], P[rows, partner].conj(), P)
+    values = np.where(used, np.where(zero, 0.0, np.where(real, mean.real, mean)), 1.0 + 0j)
+    lower_slots = np.argsort(~lower, axis=1, kind="stable")[:, :int(lower.sum(axis=1).max())]
+    pairs = np.empty(lower_slots.shape + (2,), dtype=int)
+    pairs[..., 0], pairs[..., 1] = partner[rows, lower_slots], lower_slots
+    pairs[~lower[rows, lower_slots]] = -1
+
+    S = _Spectra(
+        dimension=int(round(math.sqrt(k))),
+        entries=R,
+        values=values,
+        projectors=P,
+        multiplicities=np.where(used, count, 0.0),
+        zero=zero,
+        negative=real & (values.real <= 0),
+        pairs=pairs,
+    )
+    resid = np.abs(S.reconstruct() - R).reshape(n, -1).max(axis=1)
+    ok &= _screen(resid > RECONSTRUCTION_TOL * scale, solo, lambda: DefectiveMatrix(
+        f"spectral reconstruction residual {resid[0]:.3e} exceeds tolerance; "
+        "clustering is unreliable for this matrix"
+    ))
+    return S, ok
 
 
 def eigendecompose(T: ChannelMatrix) -> SpectralData:
-    """Cluster the spectrum of T and build the spectral projectors.
+    """Cluster the spectrum of T and build the spectral projectors: the
+    one-member case of the stacked spectral stage.
 
     The matrix decomposed is R = channels.real_form(T), behind its
     Hermiticity gate.  The real eig of R lists each complex eigenvalue and
@@ -134,52 +310,38 @@ def eigendecompose(T: ChannelMatrix) -> SpectralData:
     other eigenvalue is resolved, however small.
     """
     R = real_form(T, "spectral analysis needs a Hermiticity-preserving map")
-    scale = max(1.0, float(np.linalg.norm(R, 2)))
+    return _decompose(R[None], solo=True)[0].member(0)
 
-    vals, V = np.linalg.eig(R)
-    cond = np.linalg.cond(V)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise DefectiveMatrix(
-            f"eigenbasis condition number {cond:.3e} exceeds {CONDITION_LIMIT:.1e}; "
-            "the matrix is defective or too close to it"
-        )
-    W = np.linalg.inv(V)
-    floor = ZERO_SLACK * np.finfo(float).eps * cond * scale
 
-    clusters, pairs, owner = [], [], {}  # owner: eigenvalue index -> its cluster
-    for value, idx in _cluster_indices(vals, floor):
-        owner.update(dict.fromkeys(idx.tolist(), len(clusters)))
-        if (vals[idx].imag < 0).all():
-            upper = owner[idx[0] - 1]  # eig lists each conjugate right after its upper member
-            pairs.append((upper, len(clusters)))
-            P = clusters[upper].projector.conj()
-            clusters.append(replace(clusters[upper], value=value, projector=P))
-            continue
-        P = V[:, idx] @ W[idx, :]
-        if sup_norm(P @ P - P) > PROJECTOR_TOL * max(1.0, sup_norm(P)):
-            raise DefectiveMatrix(
-                "a cluster projector is not idempotent; eigenvalue clustering "
-                "merged a defective block"
+def _refusals(S: _Spectra) -> dict[int, MarkovscopeError]:
+    """The members of S that have no Hermiticity-preserving logarithm, each
+    with the reason principal_log raises: SingularChannel for a zero
+    eigenvalue, else NegativeRealEigenvalue for a negative real one."""
+    zero = S.zero.any(axis=1)
+    out = {}
+    for i in np.flatnonzero(zero | S.negative.any(axis=1)).tolist():
+        if zero[i]:
+            out[i] = SingularChannel("zero eigenvalue: the map is singular and admits no logarithm")
+        else:
+            neg = S.values[i, S.negative[i]].real.min()
+            out[i] = NegativeRealEigenvalue(
+                f"negative real eigenvalue {neg:.6g}: no Hermiticity-preserving logarithm exists"
             )
-        if abs(value) <= floor:
-            kind = ClusterKind.ZERO
-            value = 0.0 + 0.0j
-        elif (vals[idx].imag > 0).all():
-            kind = ClusterKind.COMPLEX_PAIR_MEMBER
-        else:  # its own conjugate
-            P = P.real
-            value = complex(value.real)
-            kind = ClusterKind.REAL_POSITIVE if value.real > 0 else ClusterKind.REAL_NEGATIVE
-        clusters.append(Cluster(value=value, multiplicity=len(idx), projector=P, kind=kind))
+    return out
 
-    data = SpectralData(dimension=T.d, clusters=tuple(clusters), pairs=tuple(pairs), entries=R)
-    resid = sup_norm(data.reconstruct() - R)
-    if resid > RECONSTRUCTION_TOL * scale:
-        raise DefectiveMatrix(
-            f"spectral reconstruction residual {resid:.3e} exceeds tolerance; "
-            "clustering is unreliable for this matrix"
-        )
-    return data
+
+def _principal_logs(S: _Spectra, solo: bool) -> tuple[np.ndarray, np.ndarray]:
+    """L_0 = sum_k log(lambda_k) P_k of every member of S, none of them
+    refused by _refusals, in matrix units, and the mask of the members
+    whose expm(L_0) reproduces their real form."""
+    L = (np.log(S.values)[..., None, None] * S.projectors).sum(axis=1).real
+    resid = np.abs(expm(L) - S.entries).reshape(len(L), -1).max(axis=1)
+    scale = np.maximum(1.0, np.abs(S.entries).reshape(len(L), -1).max(axis=1))
+    ok = _screen(resid > RECONSTRUCTION_TOL * scale, solo, lambda: DefectiveMatrix(
+        f"exp(log T) misses T by {resid[0]:.3e}; spectral data is unreliable"
+    ))
+    U = hermitian_transform(S.dimension)
+    return U.conj().T @ L @ U, ok
 
 
 def principal_log(S: SpectralData) -> GeneratorMatrix:
@@ -191,45 +353,44 @@ def principal_log(S: SpectralData) -> GeneratorMatrix:
     logarithm exists: a zero eigenvalue raises SingularChannel and a negative
     real one NegativeRealEigenvalue.
     """
-    if S.has_kind(ClusterKind.ZERO):
-        raise SingularChannel("zero eigenvalue: the map is singular and admits no logarithm")
-    if S.has_kind(ClusterKind.REAL_NEGATIVE):
-        neg = min(c.value.real for c in S.clusters if c.kind is ClusterKind.REAL_NEGATIVE)
-        raise NegativeRealEigenvalue(
-            f"negative real eigenvalue {neg:.6g}: no Hermiticity-preserving logarithm exists"
-        )
-    L = sum(np.log(c.value) * c.projector for c in S.clusters).real
-    resid = sup_norm(expm(L) - S.entries)
-    scale = max(1.0, sup_norm(S.entries))
-    if resid > RECONSTRUCTION_TOL * scale:
-        raise DefectiveMatrix(
-            f"exp(log T) misses T by {resid:.3e}; spectral data is unreliable"
-        )
+    X = _Spectra.of(S)
+    refused = _refusals(X)
+    if refused:
+        raise refused[0]
+    L = _principal_logs(X, solo=True)[0][0]
+    return GeneratorMatrix(L, OperatorBasis.matrix_units(S.dimension))
+
+
+def _branch_shifts(S: _Spectra) -> np.ndarray:
+    """-4 pi Im(P_c) of the upper member of each pair of every member of S,
+    in matrix units: shape (n, p, k, k), zero past a member's last pair."""
+    upper = S.pairs[..., 0]
+    P = S.projectors.imag[np.arange(len(upper))[:, None], upper]
+    P[upper < 0] = 0.0
     U = hermitian_transform(S.dimension)
-    return GeneratorMatrix(U.conj().T @ L @ U, OperatorBasis.matrix_units(S.dimension))
+    return U.conj().T @ (-4 * np.pi * P) @ U
 
 
 def branch_shifts(S: SpectralData) -> np.ndarray:
     """The generator offsets of one winding of each pair, -4 pi Im(P_c) in
     the basis of S, as one (C, d^2, d^2) stack in pair order in matrix units."""
-    n, U = S.dimension * S.dimension, hermitian_transform(S.dimension)
-    P = np.array([S.clusters[cp].projector.imag for cp, _ in S.pairs]).reshape(-1, n, n)
-    return U.conj().T @ (-4 * np.pi * P) @ U
+    return _branch_shifts(_Spectra.of(S))[0]
 
 
 def branch_sum(base: np.ndarray, terms: np.ndarray, ms) -> np.ndarray:
-    """base + sum_c m_c terms[c] for every row m of ms (integer winding
-    numbers, one column per pair), as one stack of shape (len(ms), *base.shape).
+    """base + sum_c m_c terms[..., c, :, :] for every row m of ms (integer
+    winding numbers, one column per pair), as one stack of shape
+    (..., len(ms), k, k) for a base of shape (..., k, k).
 
     The terms are added in pair order and a term with m_c = 0 is skipped
     (adding 0 * term can flip the sign of a zero), so a branch has the same
     value whichever stack it is summed in.
     """
     ms = np.asarray(ms)
-    out = np.repeat(base[None], len(ms), axis=0)
-    for c, term in enumerate(terms):
+    out = np.repeat(base[..., None, :, :], len(ms), axis=-3)
+    for c in range(terms.shape[-3]):
         mc = ms[:, c, None, None]
-        np.add(out, mc * term, out=out, where=mc != 0)
+        np.add(out, mc * terms[..., c, None, :, :], out=out, where=mc != 0)
     return out
 
 

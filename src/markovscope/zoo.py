@@ -197,24 +197,44 @@ def random_channel(d: int, seed) -> ChannelMatrix:
     space, normalized to the trace-preserving marginal, read as a Choi matrix.
 
     Deterministic for a fixed integer seed; a Generator may be passed instead
-    to draw several samples from one stream.
+    to draw several samples from one stream.  This is the one-seed case of
+    random_channels.
+    """
+    return ChannelMatrix(random_channels(d, [seed])[0], OperatorBasis.matrix_units(d))
+
+
+def random_channels(d: int, seeds) -> np.ndarray:
+    """The matrix-unit entries of random_channel(d, seed) for every seed, as
+    one (len(seeds), d^2, d^2) array.
+
+    Each seed (an integer or a Generator) gets its own stream, and each
+    member draws its Gaussian matrix from it; everything after the draw is
+    computed on the whole stack.  A member whose marginal is singular draws
+    again from its own stream, up to 50 draws, so every member equals its
+    one-seed result.
     """
     if not 2 <= d <= 8:
         raise RangeError(f"supported dimensions are 2 <= d <= 8, got {d}")
-    rng = _rng_from(seed)
+    rngs = [_rng_from(s) for s in seeds]
     n = d * d
+    X = np.empty((len(rngs), n, n), dtype=complex)
+    redraw = np.arange(len(rngs))
     for _ in range(50):
-        X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        W = X @ X.conj().T
-        B = np.einsum("iaib->ab", W.reshape(d, d, d, d))
-        lam, U = np.linalg.eigh((B + B.conj().T) / 2)
-        if lam.min() <= 1e-12 * lam.max():
-            continue
-        Binvhalf = U @ np.diag(1.0 / np.sqrt(lam)) @ U.conj().T
-        N = np.kron(np.eye(d), Binvhalf)
-        choi = N @ W @ N.conj().T
-        return ChannelMatrix(involution_gamma(choi), OperatorBasis.matrix_units(d))
-    raise DegenerateSample("50 consecutive draws had a singular marginal; giving up")
+        for i in redraw:
+            X[i] = rngs[i].standard_normal((n, n)) + 1j * rngs[i].standard_normal((n, n))
+        W = X @ X.conj().swapaxes(-1, -2)
+        B = np.einsum("...iaib->...ab", W.reshape(-1, d, d, d, d))
+        lam, U = np.linalg.eigh((B + B.conj().swapaxes(-1, -2)) / 2)
+        redraw = np.flatnonzero(lam.min(axis=-1) <= 1e-12 * lam.max(axis=-1))
+        if not redraw.size:
+            break
+    else:
+        raise DegenerateSample("50 consecutive draws had a singular marginal; giving up")
+    Binvhalf = U @ (np.eye(d) / np.sqrt(lam)[:, None, :]) @ U.conj().swapaxes(-1, -2)
+    # np.kron(np.eye(d), Binvhalf) of every member
+    N = (np.eye(d)[:, None, :, None] * Binvhalf[:, None, :, None, :]).reshape(-1, n, n)
+    choi = N @ W @ N.conj().swapaxes(-1, -2)
+    return involution_gamma(choi)
 
 
 def random_lindblad(d: int, seed, scale: float = 1.0) -> GeneratorMatrix:

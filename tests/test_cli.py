@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import markovscope
-from markovscope import cli, errors
-from markovscope.channels import ChannelMatrix, OperatorBasis, verify_channel
+from markovscope import channels, cli, errors
+from markovscope.channels import ChannelMatrix, ChannelStack, OperatorBasis, verify_channel
 from markovscope.io import channel_to_dict, load_channel, save_channel
 from markovscope.zoo import (
     dephasing_channel,
@@ -210,17 +210,41 @@ def test_scan_grid_row_bound(monkeypatch):
         cli._scan_grid(0.0, 1.25, 0.25)
 
 
+def _validated_members(*mocks):
+    """Maps validated through the wrapped verify_channel: one per call on a
+    map, one per member on a ChannelStack."""
+    return sum(len(c.args[0]) if isinstance(c.args[0], ChannelStack) else 1
+               for m in mocks for c in m.call_args_list)
+
+
 def test_each_channel_is_validated_once(capsys):
-    # markovian_check validates; the TD column reuses that validation
+    # markovian_check validates; the TD column reuses that validation.  A
+    # sample validates each chunk in one call, one validation per member.
     with mock.patch("markovscope.decision.verify_channel", wraps=verify_channel) as mk, \
             mock.patch("markovscope.qubit.verify_channel", wraps=verify_channel) as td:
         code, out, _ = run_cli(
             capsys, ["scan", "--model", "jc", "--start", "0.5", "--stop", "1.5", "--step", "0.5"]
         )
         assert code == 0 and len(out.strip().splitlines()) == 4
-        assert mk.call_count + td.call_count == 3
-        cli.sample_fractions(2, 4, 11)
-        assert mk.call_count + td.call_count == 3 + 4
+        assert _validated_members(mk, td) == 3
+        cli.sample_fractions(2, 70, 11)  # chunks of 64 and 6
+        assert _validated_members(mk, td) == 3 + 70
+        assert mk.call_count + td.call_count == 3 + 2
+
+
+def test_hermitian_basis_matrix_is_computed_once_per_row_and_per_chunk(capsys):
+    # a scan row: markovian_check (validation and eig share one), the Lorentz
+    # values and the determinant; a sample: one per chunk, shared by
+    # validation, eig and the Lorentz values
+    with mock.patch("markovscope.channels.hermitian_basis_matrix",
+                    wraps=channels.hermitian_basis_matrix) as hbm:
+        code, _, _ = run_cli(
+            capsys, ["scan", "--model", "jc", "--start", "0.5", "--stop", "1.5", "--step", "0.5"]
+        )
+        assert code == 0 and hbm.call_count == 3 * 3
+        hbm.reset_mock()
+        cli.sample_fractions(2, 70, 11)
+        assert hbm.call_count == 2
 
 
 def test_scan_needs_sweep_param(capsys):

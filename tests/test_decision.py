@@ -8,12 +8,20 @@ from hypothesis import strategies as st
 
 from markovscope import decision
 from markovscope.bases import omega_vector
-from markovscope.channels import ChannelMatrix, OperatorBasis, as_matrix_units, mix, verify_channel
+from markovscope.channels import (
+    ChannelMatrix,
+    ChannelStack,
+    OperatorBasis,
+    as_matrix_units,
+    mix,
+    verify_channel,
+)
 from markovscope.decision import (
     Verdict,
     branch_search,
     build_a_matrices,
     markovian_check,
+    markovian_checks,
     markovianity_measure,
     mu_min,
 )
@@ -441,3 +449,83 @@ def test_hermiticity_noise_admitted_by_the_tolerance_is_projected_out(T, mu_clea
     r = markovian_check(ChannelMatrix(M, OperatorBasis.matrix_units(2)))
     assert r.verdict is Verdict.NOT_MARKOVIAN
     assert abs(r.mu_min - mu_clean) < 1e-4
+
+
+# --- the stacked pass: markovian_checks against markovian_check --------------
+
+def _reset_channel(d):
+    """rho -> tr(rho) |0><0|: a singular channel."""
+    E = np.zeros((d * d, d * d))
+    E[0, :: d + 1] = 1.0
+    return ChannelMatrix(E, OperatorBasis.matrix_units(d))
+
+
+def _member(d, kind, seed, x):
+    """One stack member of dimension d, in matrix units."""
+    if kind == "random":
+        T = random_channel(d, seed)
+    elif kind == "exp":
+        T = evolve(random_lindblad(d, seed, 0.05 + 3 * x), 5 * x)
+    elif kind == "reset":
+        T = _reset_channel(d)
+    elif kind == "dephasing":  # d = 2 from here on
+        T = dephasing_channel(2 * x)
+    elif kind == "identity":
+        T = ChannelMatrix(np.eye(4), OperatorBasis.pauli())
+    elif kind == "rabi":
+        T = rabi_unitary(4 * x)
+    elif kind == "transpose":
+        T = transpose_approximation()
+    else:  # a Jordan block: fails a spectral check and is run again alone
+        T = jordan_channel(0.05 + 0.15 * x)
+    return as_matrix_units(T)
+
+
+_KINDS_ANY_D = ["random", "exp", "reset"]
+_KINDS_QUBIT = _KINDS_ANY_D + ["dephasing", "identity", "rabi", "transpose", "jordan"]
+
+
+@st.composite
+def _stacks(draw):
+    d = draw(st.sampled_from([2, 2, 3]))
+    kinds = _KINDS_QUBIT if d == 2 else _KINDS_ANY_D
+    specs = draw(st.lists(
+        st.tuples(st.sampled_from(kinds), st.integers(0, 10**6), st.floats(0.0, 1.0)),
+        min_size=1, max_size=12 if d == 2 else 6,
+    ))
+    return d, [_member(d, *spec) for spec in specs]
+
+
+def _fields(r):
+    """A report as a tuple in which NaN equals NaN."""
+    return tuple("nan" if isinstance(v, float) and np.isnan(v) else v for v in r.__dict__.values())
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_stacks())
+def test_stacked_reports_equal_the_one_member_call_at_every_chunk_size(stack):
+    d, members = stack
+    T = ChannelStack(np.array([M.entries for M in members]), OperatorBasis.matrix_units(d))
+    alone = [_fields(markovian_check(M)) for M in members]
+    for size in (1, 3, 64):
+        with mock.patch.object(decision, "CHUNK_ENTRIES", size * d**6):
+            assert decision.chunk_size(d) == size
+            assert [_fields(r) for r in markovian_checks(T)] == alone
+
+
+@settings(max_examples=15, deadline=None)
+@given(_stacks(), st.data())
+def test_first_non_channel_of_a_stack_raises_the_one_member_error(stack, data):
+    d, members = stack
+    bad = [ChannelMatrix(2.0 * np.eye(d * d), OperatorBasis.matrix_units(d)),
+           ChannelMatrix(np.eye(d * d)[::-1], OperatorBasis.matrix_units(d))]
+    for M in bad:
+        members.insert(data.draw(st.integers(0, len(members))), M)
+    first = next(M for M in members if not verify_channel(M).is_channel)
+    with pytest.raises(NotAChannel) as alone:
+        markovian_check(first)
+    T = ChannelStack(np.array([M.entries for M in members]), OperatorBasis.matrix_units(d))
+    with mock.patch.object(decision, "CHUNK_ENTRIES", 3 * d**6):
+        with pytest.raises(NotAChannel) as stacked:
+            markovian_checks(T)
+    assert str(stacked.value) == str(alone.value)

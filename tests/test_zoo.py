@@ -24,6 +24,7 @@ from markovscope.zoo import (
     jc_local_rate,
     rabi_unitary,
     random_channel,
+    random_channels,
     random_lindblad,
     transpose_approximation,
 )
@@ -202,3 +203,41 @@ def test_random_lindblad_scale():
     L = random_lindblad(3, 4, scale=0.25)
     assert abs(np.linalg.norm(L.entries, 2) - 0.25) < 1e-10
     assert is_lindblad_generator(L).valid
+
+
+def test_random_channels_stack_the_one_seed_draws():
+    seeds = [3, 10**12 + 7, 0, 3]
+    for d in (2, 3):
+        stack = random_channels(d, seeds)
+        assert stack.shape == (len(seeds), d * d, d * d)
+        for E, s in zip(stack, seeds):
+            assert np.array_equal(E, random_channel(d, s).entries)
+    # one Generator passed twice draws twice from its stream, in order
+    rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+    pair = random_channels(2, [rng_a, rng_a])
+    assert np.array_equal(pair[0], random_channel(2, rng_b).entries)
+    assert np.array_equal(pair[1], random_channel(2, rng_b).entries)
+
+
+class _ZeroFirstDraw(np.random.Generator):
+    """The Generator of default_rng(seed), except that its first Gaussian
+    draw (two calls: real and imaginary parts) is all zeros, so the first
+    marginal is singular."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.zeros = 2
+
+    def standard_normal(self, shape):
+        if self.zeros:
+            self.zeros -= 1
+            return np.zeros(shape)
+        return super().standard_normal(shape)
+
+
+def test_a_singular_marginal_redraws_from_its_own_generator():
+    stack = random_channels(2, [11, _ZeroFirstDraw(5), 12])
+    assert np.array_equal(stack[1], random_channel(2, 5).entries)
+    assert np.array_equal(stack[0], random_channel(2, 11).entries)
+    assert np.array_equal(stack[2], random_channel(2, 12).entries)
+    assert np.array_equal(random_channel(2, _ZeroFirstDraw(5)).entries, stack[1])
