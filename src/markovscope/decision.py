@@ -15,11 +15,14 @@ f(m) = lambda_min(A_0 + sum_c m_c A_c).  For any unit vector v,
 f(m) <= v^dag A(m) v, which is linear in m, so the minimum eigenvectors of
 evaluated branches bound f everywhere; the search skips every branch whose
 bound lies below the best value found, which cannot change its result
-(branch_search).  The map is Markovian exactly when
-some integer vector makes f nonnegative; otherwise the worst eigenvalue gap
-converts into the least admixture of isotropic noise that would repair the
-best branch, mu_min = d * max(0, -max_m f(m)), and into the measure
-M(T) = exp[mu_min (1 - d^2)].
+(branch_search).  The box is evaluated in blocks of SEARCH_BLOCK rows, and
+the bound is tested on windows of whole blocks, one product per window; a
+window in which every row is skipped doubles the next one, so a pruned run
+of the box costs a few products and no eigvalsh.  The map is Markovian
+exactly when some integer vector makes f nonnegative; otherwise the worst
+eigenvalue gap converts into the least admixture of isotropic noise that
+would repair the best branch, mu_min = d * max(0, -max_m f(m)), and into the
+measure M(T) = exp[mu_min (1 - d^2)].
 
 Maps with a zero or negative real eigenvalue receive their own verdicts (and
 measure 0).  A singular map has no logarithm; NO_HERMITIAN_LOG is exact only
@@ -32,14 +35,15 @@ The decision runs on a chunk of maps of one dimension at a time, stacked as
 (n, d^2, d^2) arrays (channels.ChannelStack): validation, the spectral stage
 (spectral._decompose), the principal log and its expm check, compression,
 and the branch search, with one eigvalsh call for every member whose box
-fits one SEARCH_BLOCK and branch_search per member otherwise.  A chunk holds
-chunk_size(d) maps, at most CHUNK_ENTRIES projector entries.  A member with
-a zero or negative real cluster gets its verdict in the stack; a member
-that fails any other check is left out and run again alone, through the
-same code, where the check raises its exception with its own message and
-_PRE_SEARCH_VERDICTS gives the verdict.  markovian_check is the one-member
-case: every stage is written once, and a member's report does not depend on
-the chunk it is decided in.
+fits one SEARCH_BLOCK (up to 2 complex pairs at m_max = 2, so every qubit)
+and branch_search per member otherwise.  A chunk holds chunk_size(d) maps,
+at most CHUNK_ENTRIES projector entries.  A member with a zero or negative
+real cluster gets its verdict in the stack; a member that fails any other
+check is left out and run again alone, through the same code, where the
+check raises its exception with its own message and _PRE_SEARCH_VERDICTS
+gives the verdict.  markovian_check is the one-member case: every stage is
+written once, and a member's report does not depend on the chunk it is
+decided in.
 """
 from __future__ import annotations
 
@@ -74,11 +78,15 @@ from .spectral import (
 
 MAX_BRANCH_CANDIDATES = 250_000
 # Branch candidates stacked into one eigvalsh call; bounds the search memory.
-SEARCH_BLOCK = 256
+# Small blocks let the cuts of the first ones prune the rest of a box.
+SEARCH_BLOCK = 32
 # Matrices of each evaluated block whose minimum eigenvectors become cuts.
 CUTS_PER_BLOCK = 8
-# The newest cuts kept; bounds the pruning cost of a block.
+# The newest cuts kept; bounds the pruning cost of a row.
 MAX_CUTS = 64
+# The widest window of rows filtered by one cut product: about 0.5 MB of
+# cut values at MAX_CUTS cuts.
+WINDOW_ROWS = 1024
 
 
 class Verdict(Enum):
@@ -159,6 +167,12 @@ def _branch_table(C: int, m_max: int) -> np.ndarray:
     return table
 
 
+def _least_cut(cut_g: np.ndarray, cut_b: np.ndarray, ms: np.ndarray) -> np.ndarray:
+    """The least cut min_k (g_k . m + b_k) of every row m of ms: one product
+    with every kept cut."""
+    return (cut_g @ ms.T + cut_b[:, None]).min(axis=0)
+
+
 def branch_search(
     A: np.ndarray, m_max: int, tol: float
 ) -> tuple[tuple[int, ...], float, tuple[int, ...] | None]:
@@ -168,35 +182,53 @@ def branch_search(
     Returns the best branch (the first maximum in shell order), its value,
     and the first branch in shell order with f(m) >= -tol, or None when no
     branch is feasible.  The box is one integer table (_branch_table, which
-    refuses more than MAX_BRANCH_CANDIDATES branches), taken in blocks of
-    SEARCH_BLOCK rows; each block is summed by branch_sum and stacked into a
-    single eigvalsh call.
+    refuses more than MAX_BRANCH_CANDIDATES branches), evaluated in blocks
+    of SEARCH_BLOCK rows; the branches of a block are summed by branch_sum
+    and stacked into a single eigvalsh call.
 
     Branches whose bound cannot beat the best value so far are skipped.
     For any unit vector v, f(m) <= v^dag A(m) v = b + g . m with
     b = v^dag A_0 v and g_c = v^dag A_c v, a cut linear in m.  After each
     evaluated block, when blocks remain, the minimum eigenvectors of its
     CUTS_PER_BLOCK best matrices give new cuts (the newest MAX_CUTS are
-    kept).  A later candidate whose least cut lies below the best value by
-    more than a rounding-level slack (CUT_SLACK) is dropped.  The result is
-    that of evaluating every branch: a dropped m has f(m) < best_v, so it
-    is not a new first maximum; while no witness exists every evaluated
-    value is below -tol, so best_v < -tol and it is not a witness either.
-    The surviving branches get their values from the same sum and the same
-    eigvalsh as without pruning.
+    kept).  A later branch whose least cut lies below the best value by
+    more than a rounding-level slack (CUT_SLACK) is dropped.  The cuts
+    filter a window of whole blocks in one product (_least_cut); while
+    every row of the window is dropped, the walk moves past it and doubles
+    the window, up to WINDOW_ROWS rows.  The survivors of the first block
+    with any are evaluated, and the window starts again at one block.
+    Skipping a window changes nothing: no evaluation happens in it, so the
+    cuts and the best value that dropped its rows are the ones that would
+    have filtered each of its blocks in turn.
+
+    The result is that of evaluating every branch, whatever SEARCH_BLOCK
+    is: a dropped m has f(m) < best_v, so it is not a new first maximum;
+    while no witness exists every evaluated value is below -tol, so
+    best_v < -tol and it is not a witness either.  The surviving branches
+    get their values from the same sum and the same eigvalsh as without
+    pruning.
     """
     A0, Ac = A[0], A[1:]
     table = _branch_table(len(Ac), m_max)
     scale = 1.0 + np.linalg.norm(A0) + m_max * sum(np.linalg.norm(M) for M in Ac)
     slack = CUT_SLACK * np.finfo(float).eps * len(A0) * scale
+    max_width = SEARCH_BLOCK * max(1, WINDOW_ROWS // SEARCH_BLOCK)
     cut_b, cut_g = np.empty(0), np.empty((0, len(Ac)))
     best_m, best_v, witness = None, -np.inf, None
-    for start in range(0, len(table), SEARCH_BLOCK):
-        ms = table[start:start + SEARCH_BLOCK]
+    start, width = 0, SEARCH_BLOCK
+    while start < len(table):
+        window = table[start:start + width]
         if cut_b.size:
-            ms = ms[(cut_g @ ms.T + cut_b[:, None]).min(axis=0) >= best_v - slack]
-            if not len(ms):
+            keep = _least_cut(cut_g, cut_b, window) >= best_v - slack
+            if not keep.any():
+                start += len(window)
+                width = min(2 * width, max_width)
                 continue
+            first = int(np.argmax(keep)) // SEARCH_BLOCK * SEARCH_BLOCK
+            start += first
+            ms = window[first:first + SEARCH_BLOCK][keep[first:first + SEARCH_BLOCK]]
+        else:
+            ms = window
         stack = branch_sum(A0, Ac, ms)
         vals = np.linalg.eigvalsh(stack).min(axis=1)
         k = int(np.argmax(vals))
@@ -206,7 +238,8 @@ def branch_search(
             feasible = np.flatnonzero(vals >= -tol)
             if feasible.size:
                 witness = tuple(ms[feasible[0]].tolist())
-        if start + SEARCH_BLOCK < len(table):
+        start, width = start + SEARCH_BLOCK, SEARCH_BLOCK
+        if start < len(table):
             top = np.argsort(vals)[-CUTS_PER_BLOCK:]
             v = np.linalg.eigh(stack[top])[1][:, :, 0]
             b = np.einsum("ki,ij,kj->k", v.conj(), A0, v).real

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -63,7 +64,37 @@ def matrix_to_json(M: np.ndarray) -> list[list[list[float]]]:
     return [[_encode_complex(M[i, j]) for j in range(M.shape[1])] for i in range(M.shape[0])]
 
 
+def _plain_matrix(data: Any, n: int) -> np.ndarray | None:
+    """data as an (n, n) complex matrix when it is a list of n lists of n
+    [re, im] pairs of finite ints and floats, else None."""
+    if type(data) is not list or len(data) != n:
+        return None
+    if set(map(type, data)) != {list} or set(map(len, data)) != {n}:
+        return None
+    entries = list(chain.from_iterable(data))
+    if not set(map(type, entries)) <= {list, tuple} or set(map(len, entries)) != {2}:
+        return None
+    scalars = list(chain.from_iterable(entries))
+    if not set(map(type, scalars)) <= {int, float}:  # no bool, str or None
+        return None
+    try:
+        parts = np.array(scalars, dtype=float).reshape(n, n, 2)
+    except OverflowError:  # an int beyond the float range
+        return None
+    if not np.isfinite(parts).all():
+        return None
+    # the parts are set apart: re + 1j * im would turn a -0.0 real part into 0.0
+    M = np.empty((n, n), dtype=complex)
+    M.real = parts[..., 0]
+    M.imag = parts[..., 1]
+    return M
+
+
 def matrix_from_json(data: Any, n: int, where: str) -> np.ndarray:
+    M = _plain_matrix(data, n)
+    if M is not None:
+        return M
+    # the entry by entry decoding names the first bad entry
     if not isinstance(data, list) or len(data) != n:
         raise ParseError(f"{where}: expected {n} rows, got {len(data) if isinstance(data, list) else type(data).__name__}")
     M = np.zeros((n, n), dtype=complex)

@@ -110,7 +110,7 @@ _qutrit_mixtures = st.builds(mix, _qutrit_semigroup, _qutrit_semigroup, st.float
 )
 @given(
     T=st.one_of(_qubit_channels, _qutrit_semigroup, _qutrit_mixtures),
-    block=st.sampled_from([1, 7, decision.SEARCH_BLOCK]),
+    block=st.sampled_from([1, 7, decision.SEARCH_BLOCK, 256]),
 )
 def test_branch_search_matches_scalar_enumeration(T, block):
     try:
@@ -138,7 +138,7 @@ def _hermitian(rng, n, integer):
     shift=st.floats(-3.0, 3.0),
     m_max=st.integers(0, 3),
     tol=st.sampled_from([0.0, 1e-9, 0.5]),
-    block=st.sampled_from([1, 7, 256]),
+    block=st.sampled_from([1, 7, decision.SEARCH_BLOCK, 256]),
 )
 def test_pruned_search_matches_scalar_enumeration_on_hermitian_matrices(
     seed, n, kinds, integer, shift, m_max, tol, block
@@ -164,18 +164,65 @@ def test_pruned_search_skips_most_of_a_seven_pair_box():
     A = build_a_matrices(eigendecompose(evolve(random_lindblad(4, 2), 1.0)))
     assert len(A) - 1 == 7  # 5^7 = 78,125 branches at m_max = 2
     tol = 1e-7 * (1.0 + float(np.linalg.norm(A[0], 2)))
-    evaluated = 0
-    eigvalsh = np.linalg.eigvalsh
+    evaluated = products = 0
+    eigvalsh, least_cut = np.linalg.eigvalsh, decision._least_cut
 
     def counting(a, *args, **kwargs):
         nonlocal evaluated
         evaluated += len(a)
         return eigvalsh(a, *args, **kwargs)
 
-    with mock.patch.object(np.linalg, "eigvalsh", counting):
+    def counting_cuts(*args):
+        nonlocal products
+        products += 1
+        return least_cut(*args)
+
+    with mock.patch.object(np.linalg, "eigvalsh", counting), \
+            mock.patch.object(decision, "_least_cut", counting_cuts):
         result = branch_search(A, 2, tol)
     assert evaluated <= 2000
+    # a walk that filters each of the 2,442 blocks of 32 rows alone needs
+    # one product per block; the galloping window skips pruned runs
+    assert products <= 100
     assert result == _scalar_branch_search(A, 2, tol)
+
+
+def _energy_basis_channel(d, seed, mixed):
+    """exp(L) for symmetric transitions |j><k| in the eigenbasis of a random
+    Hamiltonian, one conjugate pair per energy gap; mixed with a unitary
+    channel diagonal in the same basis when mixed is set."""
+    rng = np.random.default_rng([d, seed])
+    V = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    E = np.sort(rng.uniform(0.0, 2.6, d))
+    H = (V * E) @ V.conj().T
+    rates = rng.uniform(0.02, 0.2, (d, d))
+    eye = np.eye(d)
+    L = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
+    for j in range(d):
+        for k in range(d):
+            J = np.sqrt(rates[j, k] + rates[k, j]) * np.outer(V[:, j], V[:, k].conj())
+            JdJ = J.conj().T @ J
+            L = L + np.kron(J, J.conj()) - (np.kron(JdJ, eye) + np.kron(eye, JdJ.T)) / 2
+    T = evolve(GeneratorMatrix(L, OperatorBasis.matrix_units(d)), 1.0)
+    if not mixed:
+        return T
+    U = (V * np.exp(-1j * rng.uniform(0.0, 2.6, d))) @ V.conj().T
+    return mix(T, ChannelMatrix(np.kron(U, U.conj()), OperatorBasis.matrix_units(d)), 0.5)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("mixed", [False, True])
+def test_reports_do_not_depend_on_the_search_block(d, mixed):
+    # energy-basis inputs have flat f and tied branches, where the first
+    # maximum in shell order is the most fragile part of the report
+    for seed in range(3):
+        T = _energy_basis_channel(d, seed, mixed)
+        reports = []
+        for block in (decision.SEARCH_BLOCK, 256):
+            with mock.patch.object(decision, "SEARCH_BLOCK", block):
+                reports.append(markovian_check(T))
+        assert reports[0].verdict in (Verdict.MARKOVIAN, Verdict.NOT_MARKOVIAN)
+        assert reports[0] == reports[1]
 
 
 def test_dephasing_is_markovian():

@@ -61,6 +61,22 @@ def test_matrix_json_rejects_bad_entries():
         matrix_from_json([[[1.0, 0.0]]], 2, "test")     # wrong shape
 
 
+def test_matrix_json_keeps_the_sign_of_a_negative_zero():
+    M = matrix_from_json([[[-0.0, 1.0], [2, -0.0]], [[0.5, 0.0], [-1.5, 3]]], 2, "test")
+    assert np.signbit(M[0, 0].real) and not np.signbit(M[0, 0].imag)
+    assert np.signbit(M[0, 1].imag) and M[0, 1].real == 2.0
+    assert M[1, 1] == complex(-1.5, 3.0)
+
+
+@pytest.mark.parametrize("bad", [True, "1.0", None])
+def test_matrix_json_rejects_a_non_number_with_the_entry_named(bad):
+    # bool is an int in Python and "1.0" converts to a float in numpy:
+    # both must still be refused, with the message of the entry by entry check
+    data = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [bad, 0.0]]]
+    with pytest.raises(ParseError, match=r"^test\[1\]\[1\]: expected a \[re, im\] pair, got "):
+        matrix_from_json(data, 2, "test")
+
+
 # random channels (mostly without a Hermitian logarithm) and semigroup
 # snapshots exp(L/2) (Markovian), at every dimension the file format serves
 _channels = st.builds(
