@@ -173,7 +173,10 @@ class ChannelStack:
 
     def __getitem__(self, key: slice) -> "ChannelStack":
         """The members in the slice key, sharing these Hermitian-basis
-        matrices."""
+        matrices; a key that is not a slice keeping a member raises
+        DimensionMismatch."""
+        if not isinstance(key, slice) or not range(len(self))[key]:
+            raise DimensionMismatch(f"a stack is cut by a slice that keeps a member, got {key!r}")
         part = copy.copy(self)
         object.__setattr__(part, "entries", self.entries[key])
         object.__setattr__(part, "hermitian", self.hermitian[key])

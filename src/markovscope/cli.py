@@ -192,6 +192,9 @@ def cmd_scan(args) -> int:
     sweep = args.sweep or next(iter(MODELS[args.model][1]), None)
     if sweep is None:
         raise ParseError(f"model {args.model!r} has no sweep parameter; pass --sweep")
+    if sweep in fixed:
+        raise ParseError(f"--param {sweep} fixes the swept parameter; "
+                         "its values come from --start, --stop and --step")
     lines = ["param,markovian,mu_min,measure,td_markovian,det"]
     for value in _scan_grid(args.start, args.stop, args.step):
         T = _build_model(args.model, {**fixed, sweep: value})

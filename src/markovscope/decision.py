@@ -37,13 +37,13 @@ The decision runs on a chunk of maps of one dimension at a time, stacked as
 and the branch search, with one eigvalsh call for every member whose box
 fits one SEARCH_BLOCK (up to 2 complex pairs at m_max = 2, so every qubit)
 and branch_search per member otherwise.  A chunk holds chunk_size(d) maps,
-at most CHUNK_ENTRIES projector entries.  A member with a zero or negative
-real cluster gets its verdict in the stack; a member that fails any other
-check is left out and run again alone, through the same code, where the
-check raises its exception with its own message and _PRE_SEARCH_VERDICTS
-gives the verdict.  markovian_check is the one-member case: every stage is
-written once, and a member's report does not depend on the chunk it is
-decided in.
+at most CHUNK_ENTRIES projector entries.  The chunk is validated once and
+decided in one pass: a member that fails a check, or has a zero or negative
+real cluster, or a box beyond the budget, gets the exception of the first
+such check as its reason and leaves the later stages, and
+_PRE_SEARCH_VERDICTS turns the reason into its report.  markovian_check is
+the one-member case: every stage is written once, and a member's report
+does not depend on the chunk it is decided in.
 """
 from __future__ import annotations
 
@@ -59,6 +59,7 @@ from .channels import ChannelMatrix, ChannelStack, involution_gamma, verify_chan
 from .config import COMPRESSION_RESIDUAL_TOL, CUT_SLACK, MARKOV_TOL
 from .errors import (
     DefectiveMatrix,
+    MarkovscopeError,
     NegativeRealEigenvalue,
     RangeError,
     SingularChannel,
@@ -70,7 +71,7 @@ from .spectral import (
     _decompose,
     _principal_logs,
     _refusals,
-    _screen,
+    _refuse,
     branch_shifts,
     branch_sum,
     principal_log,
@@ -110,10 +111,10 @@ class MarkovReport:
     diagnostics: str
 
 
-def _compress(L0: np.ndarray, shifts: np.ndarray, solo: bool) -> tuple[np.ndarray, np.ndarray]:
+def _compress(L0: np.ndarray, shifts: np.ndarray) -> tuple[np.ndarray, dict[int, MarkovscopeError]]:
     """Compress the principal logs L0 (n, d^2, d^2) and the winding terms
     shifts (n, C, d^2, d^2) of n maps: the stacks [A_0, A_1, ..., A_C] of
-    shape (n, 1 + C, k, k), and the mask of the members that pass.
+    shape (n, 1 + C, k, k), and the reason of each member that fails.
 
     Each compressed matrix must be Hermitian to COMPRESSION_RESIDUAL_TOL of
     its largest entry and is replaced by its Hermitian part.
@@ -123,22 +124,25 @@ def _compress(L0: np.ndarray, shifts: np.ndarray, solo: bool) -> tuple[np.ndarra
     resid = np.abs(A - AH).max(axis=(-2, -1))
     bad = resid > COMPRESSION_RESIDUAL_TOL * np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))
 
-    def error():
-        k = int(np.flatnonzero(bad[0])[0])
+    def error(i):
+        k = int(np.flatnonzero(bad[i])[0])
         return DefectiveMatrix(
             f"compressed {'principal log' if k == 0 else f'winding term {k - 1}'} has "
-            f"anti-Hermitian residual {resid[0, k]:.3e}; "
+            f"anti-Hermitian residual {resid[i, k]:.3e}; "
             "spectral projectors are too inaccurate to decide"
         )
 
-    return (A + AH) / 2, _screen(bad.any(axis=1), solo, error)
+    return (A + AH) / 2, _refuse({}, bad.any(axis=1), error)
 
 
 def build_a_matrices(S: SpectralData) -> np.ndarray:
     """Compress the principal log and the per-pair winding terms: the
     read-only stack [A_0, A_1, ..., A_C] of shape (1 + C, k, k), the
     one-member case of the stacked compression."""
-    return readonly(_compress(principal_log(S).entries[None], branch_shifts(S)[None], solo=True)[0][0])
+    A, reasons = _compress(principal_log(S).entries[None], branch_shifts(S)[None])
+    if reasons:
+        raise reasons[0]
+    return readonly(A[0])
 
 
 def _int_dtype(bound: int) -> np.dtype:
@@ -303,73 +307,59 @@ def _refused(d: int, m_max: int, exc: Exception) -> MarkovReport:
     return _report(d, m_max, _PRE_SEARCH_VERDICTS[type(exc)], None, None, math.nan, math.inf, str(exc))
 
 
-def _stacked_pass(T: ChannelStack, m_max: int, tol: float | None, solo: bool) -> list:
-    """The reports of the members of T, with None for a member that fails a
-    check; a lone member raises the check's exception instead."""
+def _decide(T: ChannelStack, m_max: int, tol: float | None) -> list[MarkovReport]:
+    """The reports of one chunk, in one pass.  Each stage records the reason
+    of every member that fails one of its checks, the exception of the
+    first check it fails, and the later stages run on the members without
+    one; _PRE_SEARCH_VERDICTS turns each reason into its member's report."""
+    verify_channel(T).require("markovian_check")
     d = T.d
     reports: list[MarkovReport | None] = [None] * len(T)
     # T is validated, and real_form's Hermiticity gate is verify_channel's test
-    S, ok = _decompose(T.hermitian.real, solo)
-    for j, exc in _refusals(S).items():
-        if ok[j]:
-            reports[j] = _refused(d, m_max, exc)
-            ok[j] = False
-    if not ok.any():
-        return reports
-    # the later stages run on the members left; a failed one is only left out
-    idx = np.flatnonzero(ok)
-    S = S.take(ok)
-    L0, ok = _principal_logs(S, solo)
-    A, passed = _compress(L0, _branch_shifts(S), solo)
-    ok &= passed
-    pairs = (S.pairs[:, :, 0] >= 0).sum(axis=1)
-    if tol is None:  # ||A_0||_2, the largest singular value
-        tols = MARKOV_TOL * (1.0 + np.linalg.svd(A[:, 0], compute_uv=False)[:, 0])
-    else:
-        tols = np.full(len(idx), float(tol))
-    for C in sorted(set(pairs[ok].tolist())):
-        group = np.flatnonzero(ok & (pairs == C))
-        if (2 * m_max + 1) ** C <= SEARCH_BLOCK:
-            results = _search_stack(A[group, :1 + C], m_max, tols[group])
+    S, reasons = _decompose(T.hermitian.real)
+    reasons = {**_refusals(S), **reasons}  # a failed spectral check comes first
+    keep = np.ones(len(T), dtype=bool)
+    keep[list(reasons)] = False
+    if keep.any():
+        idx = np.flatnonzero(keep)
+        S = S.take(keep)
+        L0, later = _principal_logs(S)
+        A, failed = _compress(L0, _branch_shifts(S))
+        later = {**failed, **later}  # the expm check of the log comes first
+        pairs = (S.pairs[:, :, 0] >= 0).sum(axis=1)
+        if tol is None:  # ||A_0||_2, the largest singular value
+            tols = MARKOV_TOL * (1.0 + np.linalg.svd(A[:, 0], compute_uv=False)[:, 0])
         else:
-            results = []
-            for j in group:
-                try:
-                    results.append(branch_search(A[j, :1 + C], m_max, tols[j]))
-                except RangeError:  # the box exceeds MAX_BRANCH_CANDIDATES
-                    if solo:
-                        raise
-                    results.append(None)
-        for j, result in zip(group, results):
-            if result is None:
-                continue
-            best, best_v, witness = result
-            if witness is not None:
-                reports[idx[j]] = _report(
-                    d, m_max, Verdict.MARKOVIAN, witness, best, best_v, 0.0,
-                    f"valid generator at branch m = {witness} "
-                    f"(searched |m|_inf <= {m_max}, {C} complex pairs)",
-                )
+            tols = np.full(len(idx), float(tol))
+        searched = np.ones(len(idx), dtype=bool)
+        searched[list(later)] = False
+        for C in sorted(set(pairs[searched].tolist())):
+            group = np.flatnonzero(searched & (pairs == C))
+            if (2 * m_max + 1) ** C <= SEARCH_BLOCK:
+                results = _search_stack(A[group, :1 + C], m_max, tols[group])
             else:
-                reports[idx[j]] = _report(
-                    d, m_max, Verdict.NOT_MARKOVIAN, None, best, best_v, d * max(0.0, -best_v),
-                    f"no valid branch in |m|_inf <= {m_max} ({C} complex pairs); "
-                    f"best lambda_min = {best_v:.6e} at m = {best}",
-                )
+                try:
+                    results = [branch_search(A[j, :1 + C], m_max, tols[j]) for j in group]
+                except RangeError as exc:  # a box of C pairs beyond MAX_BRANCH_CANDIDATES
+                    later.update(dict.fromkeys(group.tolist(), exc))
+                    continue
+            for j, (best, best_v, witness) in zip(group, results):
+                if witness is not None:
+                    reports[idx[j]] = _report(
+                        d, m_max, Verdict.MARKOVIAN, witness, best, best_v, 0.0,
+                        f"valid generator at branch m = {witness} "
+                        f"(searched |m|_inf <= {m_max}, {C} complex pairs)",
+                    )
+                else:
+                    reports[idx[j]] = _report(
+                        d, m_max, Verdict.NOT_MARKOVIAN, None, best, best_v, d * max(0.0, -best_v),
+                        f"no valid branch in |m|_inf <= {m_max} ({C} complex pairs); "
+                        f"best lambda_min = {best_v:.6e} at m = {best}",
+                    )
+        reasons.update({int(idx[j]): exc for j, exc in later.items()})
+    for i, exc in reasons.items():
+        reports[i] = _refused(d, m_max, exc)
     return reports
-
-
-def _decide(T: ChannelStack, m_max: int, tol: float | None) -> list[MarkovReport]:
-    """The reports of one chunk: validate it, run the stacked pass, and run
-    each member that failed a check again alone, where the check raises and
-    the exception gives the verdict of _PRE_SEARCH_VERDICTS."""
-    verify_channel(T).require("markovian_check")
-    try:
-        reports = _stacked_pass(T, m_max, tol, solo=len(T) == 1)
-    except tuple(_PRE_SEARCH_VERDICTS) as exc:  # only a lone member raises
-        return [_refused(T.d, m_max, exc)]
-    return [r if r is not None else _decide(T[i:i + 1], m_max, tol)[0]
-            for i, r in enumerate(reports)]
 
 
 def markovian_checks(
@@ -407,11 +397,13 @@ def markovian_check(
     value before the first witness is below -tol, a witness, so the report
     equals that of evaluating every branch.
 
-    A map that fails before the search gets the verdict _PRE_SEARCH_VERDICTS
-    gives its exception, with mu_min infinite and measure 0: a defective
-    spectrum or a box larger than MAX_BRANCH_CANDIDATES is
-    UNSUPPORTED_SPECTRUM, and a map without a Hermiticity-preserving
-    logarithm gets the verdict of the exception principal_log raises.
+    A map that fails a check before the search, or whose box is larger than
+    MAX_BRANCH_CANDIDATES, has the exception of that check as its reason:
+    the report gets the verdict _PRE_SEARCH_VERDICTS gives it, the message
+    as its diagnostics, mu_min infinite and measure 0.  A defective spectrum
+    or a box beyond the budget is UNSUPPORTED_SPECTRUM, and a map without a
+    Hermiticity-preserving logarithm gets the verdict of the exception
+    principal_log raises.
     """
     return markovian_checks(ChannelStack.of(T), m_max, tol)[0]
 

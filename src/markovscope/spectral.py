@@ -21,12 +21,14 @@ a continuous family that is not yet searched.
 The stages work on stacks of maps of one dimension (_Spectra): clustering and
 projectors (_decompose), the refusals of a map without a logarithm
 (_refusals), the principal log with its expm check (_principal_logs) and the
-winding terms (_branch_shifts).  eigendecompose, principal_log and
-branch_shifts are their one-member case.  A check that fails for a member of
-a stack only marks it; decision runs such a member again alone, and for a
-lone member the check raises its exception instead (_screen).  A member
-with a real spectrum gets its eigenvector arithmetic in real numbers whatever
-the stack (_own_arithmetic), so its results do not depend on the stack.
+winding terms (_branch_shifts).  A check records, for each member that fails
+it, the exception with that member's numbers as its reason (_refuse); a
+member keeps the reason of the first check it fails, and the stack goes on.
+eigendecompose, principal_log and branch_shifts are the one-member case:
+they raise the reason of member 0, and SpectralData is a view of the
+one-member _Spectra.  A member with a real spectrum gets its eigenvector
+arithmetic in real numbers whatever the stack (_own_arithmetic), so its
+results, and the numbers in its reasons, do not depend on the stack.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -81,29 +83,55 @@ class Cluster:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Clustered eigenvalues and projectors of a transfer matrix.
+    """Clustered eigenvalues and projectors of a transfer matrix: a view of
+    its one-member _Spectra, whose fields are built on first access.
 
-    entries and every projector are in the Hermitian basis of
-    bases.hermitian_transform(dimension): entries is the real matrix
+    entries and every projector are read-only copies in the Hermitian basis
+    of bases.hermitian_transform(dimension): entries is the real matrix
     channels.real_form of the map.  pairs holds index tuples (c_plus,
     c_minus) into clusters, one per complex-conjugate pair, with c_plus the
-    member in the upper half plane.
+    member in the upper half plane.  The arrays of spectra are made
+    read-only, so the cached fields always agree with them.
     """
 
-    dimension: int
-    clusters: tuple[Cluster, ...]
-    pairs: tuple[tuple[int, int], ...]
-    entries: np.ndarray
+    spectra: _Spectra
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", readonly(self.entries))
+        for a in self.spectra[1:]:
+            a.setflags(write=False)
+
+    @property
+    def dimension(self) -> int:
+        return self.spectra.dimension
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        return readonly(self.spectra.entries[0])
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple((int(u), int(l)) for u, l in self.spectra.pairs[0] if u >= 0)
+
+    @cached_property
+    def clusters(self) -> tuple[Cluster, ...]:
+        X = self.spectra
+        in_pair = {c for pair in self.pairs for c in pair}
+        return tuple(
+            Cluster(value=complex(X.values[0, c]), multiplicity=int(X.multiplicities[0, c]),
+                    projector=X.projectors[0, c],
+                    kind=ClusterKind.COMPLEX_PAIR_MEMBER if c in in_pair
+                    else ClusterKind.ZERO if X.zero[0, c]
+                    else ClusterKind.REAL_NEGATIVE if X.negative[0, c]
+                    else ClusterKind.REAL_POSITIVE)
+            for c in np.flatnonzero(X.multiplicities[0]).tolist()
+        )
 
     @property
     def num_complex_pairs(self) -> int:
         return len(self.pairs)
 
     def reconstruct(self) -> np.ndarray:
-        return _Spectra.of(self).reconstruct()[0]
+        return self.spectra.reconstruct()[0]
 
     def has_kind(self, kind: ClusterKind) -> bool:
         return any(c.kind is kind for c in self.clusters)
@@ -140,47 +168,19 @@ class _Spectra(NamedTuple):
             return self
         return _Spectra(self.dimension, *(a[keep] for a in self[1:]))
 
-    def member(self, i: int) -> SpectralData:
-        pairs = tuple((int(u), int(l)) for u, l in self.pairs[i] if u >= 0)
-        in_pair = {c for pair in pairs for c in pair}
-        clusters = tuple(
-            Cluster(value=complex(self.values[i, c]), multiplicity=int(self.multiplicities[i, c]),
-                    projector=self.projectors[i, c],
-                    kind=ClusterKind.COMPLEX_PAIR_MEMBER if c in in_pair
-                    else ClusterKind.ZERO if self.zero[i, c]
-                    else ClusterKind.REAL_NEGATIVE if self.negative[i, c]
-                    else ClusterKind.REAL_POSITIVE)
-            for c in np.flatnonzero(self.multiplicities[i]).tolist()
-        )
-        return SpectralData(self.dimension, clusters, pairs, self.entries[i])
-
-    @classmethod
-    def of(cls, S: SpectralData) -> "_Spectra":
-        """The one-member stack of S."""
-        c = S.clusters
-        return cls(
-            S.dimension,
-            S.entries.real[None],
-            np.array([[x.value for x in c]], dtype=complex),
-            np.array([[x.projector for x in c]]),
-            np.array([[x.multiplicity for x in c]]),
-            np.array([[x.kind is ClusterKind.ZERO for x in c]]),
-            np.array([[x.kind is ClusterKind.REAL_NEGATIVE for x in c]]),
-            np.array(S.pairs, dtype=int).reshape(1, -1, 2),
-        )
-
     def reconstruct(self) -> np.ndarray:
         """sum_k lambda_k P_k of every member, summed in cluster order."""
         return (self.values[..., None, None] * self.projectors).sum(axis=1)
 
 
-def _screen(bad: np.ndarray, solo: bool, error) -> np.ndarray:
-    """The members that pass a check, ~bad.  When the stack is one member
-    run alone and it fails, the check raises error() instead: the one-member
-    call gets the exception and the message of its check."""
-    if solo and bad[0]:
-        raise error()
-    return ~bad
+def _refuse(reasons: dict[int, MarkovscopeError], bad: np.ndarray, error) -> dict[int, MarkovscopeError]:
+    """Record error(i) as the reason of each member i marked in bad that
+    has none yet, so a member's reason is the exception of the first check
+    it fails; returns reasons."""
+    for i in np.flatnonzero(bad).tolist():
+        if i not in reasons:
+            reasons[i] = error(i)
+    return reasons
 
 
 @lru_cache(maxsize=None)
@@ -200,10 +200,10 @@ def _own_arithmetic(f, real: np.ndarray, *arrays: np.ndarray) -> np.ndarray:
     return out
 
 
-def _decompose(R: np.ndarray, solo: bool) -> tuple[_Spectra, np.ndarray]:
+def _decompose(R: np.ndarray) -> tuple[_Spectra, dict[int, MarkovscopeError]]:
     """Cluster the spectra of the real forms R, shape (n, k, k), and build
-    their projectors; returns the spectra and the mask of the members that
-    pass every check (a failed member's spectrum is meaningless).
+    their projectors; returns the spectra and the reason of each member that
+    fails a check (_refuse), whose spectrum is meaningless.
 
     Two eigenvalues are linked when their gap is at most CLUSTER_TOL times
     the larger modulus, and every eigenvalue at or below the rounding floor
@@ -217,12 +217,12 @@ def _decompose(R: np.ndarray, solo: bool) -> tuple[_Spectra, np.ndarray]:
     vals, V = np.linalg.eig(R)
     real_spectrum = (vals.imag == 0).all(axis=1)
     cond = _own_arithmetic(np.linalg.cond, real_spectrum, V)
-    ok = _screen(~(cond <= CONDITION_LIMIT), solo, lambda: DefectiveMatrix(
-        f"eigenbasis condition number {cond[0]:.3e} exceeds {CONDITION_LIMIT:.1e}; "
+    reasons = _refuse({}, ~(cond <= CONDITION_LIMIT), lambda i: DefectiveMatrix(
+        f"eigenbasis condition number {cond[i]:.3e} exceeds {CONDITION_LIMIT:.1e}; "
         "the matrix is defective or too close to it"
     ))
-    if not ok.all():
-        V[~ok] = np.eye(k)  # a failed member must not stop the inverse of the others
+    if reasons:
+        V[list(reasons)] = np.eye(k)  # a refused member must not stop the inverse of the others
     W = _own_arithmetic(np.linalg.inv, real_spectrum, V)
     floor = ZERO_SLACK * np.finfo(float).eps * cond * scale
 
@@ -258,7 +258,7 @@ def _decompose(R: np.ndarray, solo: bool) -> tuple[_Spectra, np.ndarray]:
                         real_spectrum, V, W, member)
     resid = np.abs(P @ P - P).reshape(n, k, -1).max(axis=2)
     bad = resid > PROJECTOR_TOL * np.maximum(1.0, np.abs(P).reshape(n, k, -1).max(axis=2))
-    ok &= _screen((bad & ~lower).any(axis=1), solo, lambda: DefectiveMatrix(
+    _refuse(reasons, (bad & ~lower).any(axis=1), lambda i: DefectiveMatrix(
         "a cluster projector is not idempotent; eigenvalue clustering merged a defective block"
     ))
 
@@ -284,11 +284,11 @@ def _decompose(R: np.ndarray, solo: bool) -> tuple[_Spectra, np.ndarray]:
         pairs=pairs,
     )
     resid = np.abs(S.reconstruct() - R).reshape(n, -1).max(axis=1)
-    ok &= _screen(resid > RECONSTRUCTION_TOL * scale, solo, lambda: DefectiveMatrix(
-        f"spectral reconstruction residual {resid[0]:.3e} exceeds tolerance; "
+    _refuse(reasons, resid > RECONSTRUCTION_TOL * scale, lambda i: DefectiveMatrix(
+        f"spectral reconstruction residual {resid[i]:.3e} exceeds tolerance; "
         "clustering is unreliable for this matrix"
     ))
-    return S, ok
+    return S, reasons
 
 
 def eigendecompose(T: ChannelMatrix) -> SpectralData:
@@ -310,38 +310,37 @@ def eigendecompose(T: ChannelMatrix) -> SpectralData:
     other eigenvalue is resolved, however small.
     """
     R = real_form(T, "spectral analysis needs a Hermiticity-preserving map")
-    return _decompose(R[None], solo=True)[0].member(0)
+    S, reasons = _decompose(R[None])
+    if reasons:
+        raise reasons[0]
+    return SpectralData(S)
 
 
 def _refusals(S: _Spectra) -> dict[int, MarkovscopeError]:
     """The members of S that have no Hermiticity-preserving logarithm, each
     with the reason principal_log raises: SingularChannel for a zero
     eigenvalue, else NegativeRealEigenvalue for a negative real one."""
-    zero = S.zero.any(axis=1)
-    out = {}
-    for i in np.flatnonzero(zero | S.negative.any(axis=1)).tolist():
-        if zero[i]:
-            out[i] = SingularChannel("zero eigenvalue: the map is singular and admits no logarithm")
-        else:
-            neg = S.values[i, S.negative[i]].real.min()
-            out[i] = NegativeRealEigenvalue(
-                f"negative real eigenvalue {neg:.6g}: no Hermiticity-preserving logarithm exists"
-            )
-    return out
+    reasons = _refuse({}, S.zero.any(axis=1), lambda i: SingularChannel(
+        "zero eigenvalue: the map is singular and admits no logarithm"
+    ))
+    return _refuse(reasons, S.negative.any(axis=1), lambda i: NegativeRealEigenvalue(
+        f"negative real eigenvalue {S.values[i, S.negative[i]].real.min():.6g}: "
+        "no Hermiticity-preserving logarithm exists"
+    ))
 
 
-def _principal_logs(S: _Spectra, solo: bool) -> tuple[np.ndarray, np.ndarray]:
+def _principal_logs(S: _Spectra) -> tuple[np.ndarray, dict[int, MarkovscopeError]]:
     """L_0 = sum_k log(lambda_k) P_k of every member of S, none of them
-    refused by _refusals, in matrix units, and the mask of the members
-    whose expm(L_0) reproduces their real form."""
+    refused by _refusals, in matrix units, and the reason of each member
+    whose expm(L_0) misses its real form."""
     L = (np.log(S.values)[..., None, None] * S.projectors).sum(axis=1).real
     resid = np.abs(expm(L) - S.entries).reshape(len(L), -1).max(axis=1)
     scale = np.maximum(1.0, np.abs(S.entries).reshape(len(L), -1).max(axis=1))
-    ok = _screen(resid > RECONSTRUCTION_TOL * scale, solo, lambda: DefectiveMatrix(
-        f"exp(log T) misses T by {resid[0]:.3e}; spectral data is unreliable"
+    reasons = _refuse({}, resid > RECONSTRUCTION_TOL * scale, lambda i: DefectiveMatrix(
+        f"exp(log T) misses T by {resid[i]:.3e}; spectral data is unreliable"
     ))
     U = hermitian_transform(S.dimension)
-    return U.conj().T @ L @ U, ok
+    return U.conj().T @ L @ U, reasons
 
 
 def principal_log(S: SpectralData) -> GeneratorMatrix:
@@ -353,12 +352,13 @@ def principal_log(S: SpectralData) -> GeneratorMatrix:
     logarithm exists: a zero eigenvalue raises SingularChannel and a negative
     real one NegativeRealEigenvalue.
     """
-    X = _Spectra.of(S)
-    refused = _refusals(X)
-    if refused:
+    refused = _refusals(S.spectra)
+    if refused:  # the log of a zero or negative eigenvalue is not computed
         raise refused[0]
-    L = _principal_logs(X, solo=True)[0][0]
-    return GeneratorMatrix(L, OperatorBasis.matrix_units(S.dimension))
+    L, reasons = _principal_logs(S.spectra)
+    if reasons:
+        raise reasons[0]
+    return GeneratorMatrix(L[0], OperatorBasis.matrix_units(S.dimension))
 
 
 def _branch_shifts(S: _Spectra) -> np.ndarray:
@@ -374,7 +374,7 @@ def _branch_shifts(S: _Spectra) -> np.ndarray:
 def branch_shifts(S: SpectralData) -> np.ndarray:
     """The generator offsets of one winding of each pair, -4 pi Im(P_c) in
     the basis of S, as one (C, d^2, d^2) stack in pair order in matrix units."""
-    return _branch_shifts(_Spectra.of(S))[0]
+    return _branch_shifts(S.spectra)[0]
 
 
 def branch_sum(base: np.ndarray, terms: np.ndarray, ms) -> np.ndarray:

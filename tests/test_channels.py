@@ -14,6 +14,7 @@ from markovscope.bases import (
 from markovscope.channels import (
     BasisTag,
     ChannelMatrix,
+    ChannelStack,
     ChoiMatrix,
     DensityMatrix,
     KrausSet,
@@ -255,6 +256,18 @@ def test_channel_matrix_shape_validation():
         ChannelMatrix(np.eye(5), OperatorBasis.matrix_units(2))
     with pytest.raises(DimensionMismatch):
         ChannelMatrix(np.eye(9), OperatorBasis.matrix_units(2))
+
+
+def test_stack_is_cut_only_by_a_slice_that_keeps_a_member():
+    T = ChannelStack(np.array([random_channel(2, s).entries for s in range(3)]),
+                     OperatorBasis.matrix_units(2))
+    part = T[1:]
+    assert len(part) == 2 and part.hermitian.shape == (2, 4, 4)
+    assert np.array_equal(part.entries, T.entries[1:])
+    # an integer would give a "stack" of 2-D entries, and an empty slice a stack of none
+    for key in (1, -1, slice(2, 2), slice(3, None), (slice(None), 0)):
+        with pytest.raises(DimensionMismatch):
+            T[key]
 
 
 def test_density_matrix_validation():

@@ -439,6 +439,10 @@ def test_exit_not_a_channel(tmp_path, capsys):
         ["scan", "--model", "dephasing", "--start=-1e308", "--stop=1e308", "--step=1"],
         # 10^12 rows (at the parent a list that grew until memory ran out)
         ["scan", "--model", "dephasing", "--start", "0", "--stop", "1", "--step", "1e-12"],
+        # a fixed value of the swept parameter, which the sweep would override
+        ["scan", "--model", "jc", "--start", "1", "--stop", "1", "--step", "1", "--param", "t=3"],
+        ["scan", "--model", "jc", "--sweep", "gamma", "--start", "0.1", "--stop", "0.2",
+         "--step", "0.1", "--param", "gamma=0.5"],
     ],
 )
 def test_invalid_inputs_exit_1(argv, tmp_path, capsys):

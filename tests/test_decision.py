@@ -275,15 +275,21 @@ def test_singular_map_verdict():
     assert r.measure == 0.0
 
 
-def test_budget_guard_reports_unsupported():
-    # strong coherent part, 4 complex pairs; m_max = 11 would need 23^4 branches
-    rng = np.random.default_rng(1)
+def _coherent_exp(seed):
+    """exp(L) of a qutrit generator with a strong coherent part, in matrix
+    units; at seeds 1, 7, 10, 12 and 13 it has 4 complex pairs, so m_max = 11
+    would need 23^4 branches."""
+    rng = np.random.default_rng(seed)
     A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     H = (A + A.conj().T) / 2
     B = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     G = 0.02 * (B @ B.conj().T) / 8
     L = GeneratorMatrix(_assemble(3.0 * H, G, trace_basis(3)), OperatorBasis.matrix_units(3))
-    T = evolve(L, 1.0)
+    return evolve(L, 1.0)
+
+
+def test_budget_guard_reports_unsupported():
+    T = _coherent_exp(1)
     assert eigendecompose(T).num_complex_pairs == 4
     assert markovian_check(T, m_max=2).verdict is Verdict.MARKOVIAN
     r = markovian_check(T, m_max=11)
@@ -309,6 +315,15 @@ def test_defective_spectrum_is_unsupported_with_its_reason(b):
     assert r.diagnostics == str(exc.value)
     assert r.witness_branch is None and r.best_branch is None
     assert np.isinf(r.mu_min) and r.measure == 0.0
+    # inside a stack the member's report carries the reason eigendecompose raises
+    M = as_matrix_units(T)
+    with pytest.raises(MarkovscopeError) as exc:
+        eigendecompose(M)
+    others = [as_matrix_units(random_channel(2, s)).entries for s in range(3)]
+    stack = ChannelStack(np.array([others[0], M.entries, *others[1:]]), OperatorBasis.matrix_units(2))
+    r = markovian_checks(stack)[1]
+    assert r.verdict is Verdict.UNSUPPORTED_SPECTRUM
+    assert r.diagnostics == str(exc.value)
 
 
 def test_not_a_channel_rejected():
@@ -523,7 +538,7 @@ def _member(d, kind, seed, x):
         T = rabi_unitary(4 * x)
     elif kind == "transpose":
         T = transpose_approximation()
-    else:  # a Jordan block: fails a spectral check and is run again alone
+    else:  # a Jordan block: fails a spectral check, which gives its reason
         T = jordan_channel(0.05 + 0.15 * x)
     return as_matrix_units(T)
 
@@ -576,3 +591,32 @@ def test_first_non_channel_of_a_stack_raises_the_one_member_error(stack, data):
         with pytest.raises(NotAChannel) as stacked:
             markovian_checks(T)
     assert str(stacked.value) == str(alone.value)
+
+
+def test_a_chunk_is_validated_and_decided_in_one_pass():
+    # the two Jordan members fail a spectral check and take its reason from
+    # the pass: no member is validated or decided a second time, alone
+    members = [as_matrix_units(random_channel(2, s)) for s in range(10)]
+    members[2:2] = [as_matrix_units(jordan_channel(0.1))]
+    members[7:7] = [as_matrix_units(jordan_channel(0.1))]
+    T = ChannelStack(np.array([M.entries for M in members]), OperatorBasis.matrix_units(2))
+    alone = [_fields(markovian_check(M)) for M in members]
+    with mock.patch.object(decision, "verify_channel", wraps=verify_channel) as verify:
+        assert [_fields(r) for r in markovian_checks(T)] == alone
+        with mock.patch.object(decision, "CHUNK_ENTRIES", 5 * 2**6):
+            assert [_fields(r) for r in markovian_checks(T)] == alone
+    assert [len(c.args[0]) for c in verify.call_args_list] == [12, 5, 5, 2]
+    assert [alone[i][0] for i in (2, 7)] == [Verdict.UNSUPPORTED_SPECTRUM] * 2
+
+
+def test_budget_refusals_in_a_stack_equal_the_one_member_ones():
+    # five 4-pair members fill one d = 3 chunk, and each box is beyond the budget
+    members = [_coherent_exp(seed) for seed in (1, 7, 10, 12, 13)]
+    assert all(eigendecompose(M).num_complex_pairs == 4 for M in members)
+    T = ChannelStack(np.array([M.entries for M in members]), OperatorBasis.matrix_units(3))
+    assert decision.chunk_size(3) == len(T)
+    alone = [markovian_check(M, m_max=11) for M in members]
+    assert [_fields(r) for r in markovian_checks(T, m_max=11)] == [_fields(r) for r in alone]
+    for r in alone:
+        assert r.verdict is Verdict.UNSUPPORTED_SPECTRUM
+        assert "beyond the supported budget" in r.diagnostics
